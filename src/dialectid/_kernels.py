@@ -1,38 +1,18 @@
-"""Hot numeric kernels with JIT and pure-numpy implementations.
+"""Hot numeric kernels, in vectorized numpy.
 
-The inner loops that dominate training time (1-D convolution forward and
+The inner loops that dominate training time: 1-D convolution forward and
 backward for the twin network, and the per-sample hinge subgradient sweep
-for the SVM) exist in two interchangeable versions:
-
-* numba ``@njit`` loops (default when numba imports cleanly), and
-* vectorized pure-numpy fallbacks.
-
-Set ``DIALECTID_NO_NUMBA=1`` before import to force the numpy path, e.g.
-to debug or to benchmark one against the other (see
-``benchmarks/bench_kernels.py``). Both paths are deterministic; all
-randomness (shuffles, sampling) stays outside the kernels so the two paths
-see identical inputs.
+for the SVM. All are deterministic; all randomness (shuffles, sampling)
+stays with the callers.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("DIALECTID_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
+# Always False: the kernels are numpy only. Kept because perfbench/worker.py
+# reads it for the environment section of its report.
+NUMBA_ENABLED = False
 
-if not _DISABLED:
-    try:
-        from numba import njit
-    except ImportError:
-        _DISABLED = True
-
-NUMBA_ENABLED = not _DISABLED
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
 
 def _windows(x, kernel, stride):
     # (B, C, L) -> (B, C, T, K) view of the strided convolution windows
@@ -40,13 +20,13 @@ def _windows(x, kernel, stride):
     return win[:, :, ::stride, :]
 
 
-def conv1d_forward_np(x, w, b, stride):
+def conv1d_forward(x, w, b, stride):
     """Valid 1-D convolution. x (B,Cin,L), w (Cout,Cin,K), b (Cout,) -> (B,Cout,T)."""
     win = _windows(x, w.shape[2], stride)
     return np.einsum("ock,bctk->bot", w, win, optimize=True) + b[None, :, None]
 
 
-def conv1d_backward_np(x, w, stride, gout):
+def conv1d_backward(x, w, stride, gout):
     """Gradients of conv1d_forward wrt input, weights and bias.
 
     gout is the (B,Cout,T) upstream gradient; dw and db are summed over the
@@ -65,7 +45,7 @@ def conv1d_backward_np(x, w, stride, gout):
     return dx, dw, db
 
 
-def svm_epochs_np(data, indices, indptr, dim, y, order, C):
+def svm_epochs(data, indices, indptr, dim, y, order, C):
     """Subgradient sweep for one binary hinge problem on CSR features.
 
     Minimizes 0.5*||w||^2 + C * sum_i hinge(y_i * (w.x_i + b)) with the
@@ -91,80 +71,3 @@ def svm_epochs_np(data, indices, indptr, dim, y, order, C):
                 w[cols] += coef * vals
                 b += coef
     return w, b
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same contracts, explicit loops)
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _conv1d_forward_nb(x, w, b, stride):
-        bsz, cin, length = x.shape
-        cout, _, kernel = w.shape
-        t_out = (length - kernel) // stride + 1
-        out = np.empty((bsz, cout, t_out))
-        for n in range(bsz):
-            for o in range(cout):
-                for t in range(t_out):
-                    acc = b[o]
-                    base = t * stride
-                    for c in range(cin):
-                        for k in range(kernel):
-                            acc += w[o, c, k] * x[n, c, base + k]
-                    out[n, o, t] = acc
-        return out
-
-    @njit(cache=True)
-    def _conv1d_backward_nb(x, w, stride, gout):
-        bsz, cin, length = x.shape
-        cout, _, kernel = w.shape
-        t_out = gout.shape[2]
-        dx = np.zeros((bsz, cin, length))
-        dw = np.zeros((cout, cin, kernel))
-        db = np.zeros(cout)
-        for n in range(bsz):
-            for o in range(cout):
-                for t in range(t_out):
-                    g = gout[n, o, t]
-                    db[o] += g
-                    base = t * stride
-                    for c in range(cin):
-                        for k in range(kernel):
-                            dw[o, c, k] += g * x[n, c, base + k]
-                            dx[n, c, base + k] += g * w[o, c, k]
-        return dx, dw, db
-
-    @njit(cache=True)
-    def _svm_epochs_nb(data, indices, indptr, dim, y, order, C):
-        n = indptr.shape[0] - 1
-        lam = 1.0 / (C * n)
-        w = np.zeros(dim)
-        b = 0.0
-        t = 0
-        for e in range(order.shape[0]):
-            for s in range(n):
-                i = order[e, s]
-                t += 1
-                acc = 0.0
-                for p in range(indptr[i], indptr[i + 1]):
-                    acc += data[p] * w[indices[p]]
-                margin = y[i] * (acc + b)
-                scale = 1.0 - 1.0 / t
-                for j in range(dim):
-                    w[j] *= scale
-                if margin < 1.0:
-                    coef = y[i] / (lam * t)
-                    for p in range(indptr[i], indptr[i + 1]):
-                        w[indices[p]] += coef * data[p]
-                    b += coef
-        return w, b
-
-    conv1d_forward = _conv1d_forward_nb
-    conv1d_backward = _conv1d_backward_nb
-    svm_epochs = _svm_epochs_nb
-else:
-    conv1d_forward = conv1d_forward_np
-    conv1d_backward = conv1d_backward_np
-    svm_epochs = svm_epochs_np

@@ -153,6 +153,8 @@ def fit_fusion_weights(
     """
     if not tables:
         raise ValidationError("need at least one table")
+    if not resolution > 0:
+        raise ValidationError("resolution must be positive, got %r" % (resolution,))
     steps = int(round(1.0 / resolution))
     if abs(steps * resolution - 1.0) > 1e-9 or steps < 1:
         raise ValidationError("resolution must divide 1 evenly")

@@ -15,26 +15,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, dialect_model, fileio, lda, siamese, svm, whitening
+from . import calibration, dialect_model, fileio, svm
+from .backend import RECIPES, Backend
 from .data import Domain, IVectorSet, ScoreTable, validate_dataset
 from .errors import DialectIdError, FormatError, NumericError, ValidationError
+from .metrics import confusion, render_report
 from .synth import SynthConfig, generate
-
-RECIPES = ("baseline_svm", "cds", "lda_cds", "siam_cds")
-
-_SYNTH_KEYS = ("dim", "num_dialects", "n_trn", "n_dev", "n_tst",
-               "dialect_std", "within_std", "channel_std", "seed")
 
 
 def _synth_config_from_file(path) -> SynthConfig:
-    raw = fileio.parse_config(path, known_keys=_SYNTH_KEYS)
+    defaults = vars(SynthConfig())
     kwargs = {}
-    for key, value in raw.items():
+    for key, value in fileio.parse_config(path, known_keys=tuple(defaults)).items():
         try:
-            if key in ("dim", "num_dialects", "n_trn", "n_dev", "n_tst", "seed"):
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
+            kwargs[key] = type(defaults[key])(value)  # int or float, as the field
         except ValueError:
             raise FormatError("config key %r has unparseable value %r" % (key, value))
     return SynthConfig(**kwargs)
@@ -45,9 +39,8 @@ def cmd_synth(args) -> int:
     data = generate(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fileio.save_ivector_set(data.trn, out / "trn.ivec")
-    fileio.save_ivector_set(data.dev, out / "dev.ivec")
-    fileio.save_ivector_set(data.tst, out / "tst.ivec")
+    for split in ("trn", "dev", "tst"):
+        fileio.save_ivector_set(getattr(data, split), out / ("%s.ivec" % split))
     fingerprint = fileio.config_fingerprint({"synth": vars(cfg).copy()})
     fileio.save_artifact(
         out / "ground_truth.json", "ground_truth", fingerprint,
@@ -55,103 +48,22 @@ def cmd_synth(args) -> int:
             "labels": list(data.labels),
             "dialect_means": data.dialect_means.tolist(),
             "channel_offset": data.channel_offset.tolist(),
-            "config": {k: getattr(cfg, k) for k in _SYNTH_KEYS},
+            "config": vars(cfg).copy(),
         },
     )
     print("wrote trn/dev/tst vector sets to %s" % out)
     return 0
 
 
-def _require_valid(dataset: IVectorSet, name: str) -> None:
+def _load_valid(path, domain: Domain) -> IVectorSet:
+    dataset = fileio.load_ivector_set(path, domain=domain)
     report = validate_dataset(dataset)
     if not report.ok:
-        raise ValidationError("%s fails validation: %s" % (name, "; ".join(report.violations)))
-
-
-def _chain_payload(chain: whitening.WhiteningChain) -> dict:
-    return {
-        "fit_subsets": list(chain.fit_subsets),
-        "stages": [
-            {"mean": st.mean.tolist(), "matrix": st.matrix.tolist()} for st in chain.stages
-        ],
-    }
-
-
-def _chain_from_payload(payload) -> whitening.WhiteningChain:
-    stages = tuple(
-        whitening.WhiteningStage(mean=np.array(st["mean"]), matrix=np.array(st["matrix"]))
-        for st in payload["stages"]
-    )
-    return whitening.WhiteningChain(stages=stages, fit_subsets=tuple(payload["fit_subsets"]))
-
-
-def _models_payload(models: dialect_model.DialectModelSet) -> dict:
-    prov = models.provenance
-    return {
-        "labels": list(models.labels),
-        "models": models.models.tolist(),
-        "provenance": {"kind": prov.kind, "domain": prov.domain, "gamma": prov.gamma},
-        "n_per_dialect": list(models.n_per_dialect),
-    }
-
-
-def _models_from_payload(payload) -> dialect_model.DialectModelSet:
-    prov = payload["provenance"]
-    return dialect_model.DialectModelSet(
-        labels=tuple(payload["labels"]),
-        models=np.array(payload["models"]),
-        provenance=dialect_model.ModelProvenance(
-            kind=prov["kind"], domain=prov.get("domain"), gamma=prov.get("gamma")
-        ),
-        n_per_dialect=tuple(payload["n_per_dialect"]),
-    )
-
-
-def _siamese_payload(params: siamese.SiameseParams) -> dict:
-    layers = []
-    for layer in params.arch.layers:
-        if isinstance(layer, siamese.Conv1d):
-            layers.append({"type": "conv1d", "kernel": layer.kernel,
-                           "in_channels": layer.in_channels,
-                           "out_channels": layer.out_channels,
-                           "stride": layer.stride, "activation": layer.activation})
-        else:
-            layers.append({"type": "dense", "in_dim": layer.in_dim,
-                           "out_dim": layer.out_dim, "activation": layer.activation})
-    return {
-        "arch": {"layers": layers, "input_dim": params.arch.input_dim,
-                 "output_dim": params.arch.output_dim},
-        "weights": [w.tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
-        "seed": params.seed,
-    }
-
-
-def _siamese_from_payload(payload) -> siamese.SiameseParams:
-    layers = []
-    for spec in payload["arch"]["layers"]:
-        if spec["type"] == "conv1d":
-            layers.append(siamese.Conv1d(
-                kernel=spec["kernel"], in_channels=spec["in_channels"],
-                out_channels=spec["out_channels"], stride=spec["stride"],
-                activation=spec["activation"]))
-        else:
-            layers.append(siamese.Dense(in_dim=spec["in_dim"], out_dim=spec["out_dim"],
-                                        activation=spec["activation"]))
-    arch = siamese.SiameseArch(layers=tuple(layers),
-                               input_dim=payload["arch"]["input_dim"],
-                               output_dim=payload["arch"]["output_dim"])
-    return siamese.SiameseParams(
-        arch=arch,
-        weights=tuple(np.array(w) for w in payload["weights"]),
-        biases=tuple(np.array(b) for b in payload["biases"]),
-        seed=payload["seed"],
-    )
+        raise ValidationError("%s fails validation: %s" % (path, "; ".join(report.violations)))
+    return dataset
 
 
 def cmd_train(args) -> int:
-    if args.recipe not in RECIPES:
-        raise ValidationError("unknown recipe %r (choose from %r)" % (args.recipe, RECIPES))
     if args.gamma is not None and not args.use_dev:
         raise ValidationError("--gamma requires --use-dev (no in-domain means otherwise)")
     if args.gamma is not None and args.recipe == "baseline_svm":
@@ -160,19 +72,15 @@ def cmd_train(args) -> int:
         raise ValidationError("--whiten-depth > 1 requires --use-dev as the matched subset")
 
     data_dir = Path(args.data_dir)
-    trn = fileio.load_ivector_set(data_dir / "trn.ivec", domain=Domain.TRN)
-    _require_valid(trn, "trn.ivec")
-    dev = None
-    if args.use_dev:
-        dev = fileio.load_ivector_set(data_dir / "dev.ivec", domain=Domain.DEV)
-        _require_valid(dev, "dev.ivec")
-        if dev.dim != trn.dim:
-            raise ValidationError("trn/dev dimension mismatch")
-
+    trn = _load_valid(data_dir / "trn.ivec", Domain.TRN)
+    dev = _load_valid(data_dir / "dev.ivec", Domain.DEV) if args.use_dev else None
+    if dev is not None and dev.dim != trn.dim:
+        raise ValidationError("trn/dev dimension mismatch")
     labels = sorted({u.label for u in trn.utterances if u.label is not None})
     if not labels:
         raise ValidationError("training data has no labels")
 
+    # everything Backend.fit reads; the model directory carries its fingerprint
     flags = {
         "recipe": args.recipe,
         "whiten_depth": args.whiten_depth,
@@ -188,149 +96,21 @@ def cmd_train(args) -> int:
         "siam_pairs": args.siam_pairs,
         "dev_emphasis": args.dev_emphasis,
     }
-    fingerprint = fileio.config_fingerprint(flags)
-    model_dir = Path(args.model_dir)
-    model_dir.mkdir(parents=True, exist_ok=True)
-
-    chain = whitening.fit_recursive_chain(
-        primary=trn, matched=dev if dev is not None else trn, depth=args.whiten_depth
-    )
-    proc_trn = trn.with_vectors(whitening.apply_chain(chain, trn.vectors))
-    proc_dev = dev.with_vectors(whitening.apply_chain(chain, dev.vectors)) if dev else None
-
-    artifacts = {"chain": "chain.json"}
-    fileio.save_artifact(model_dir / "chain.json", "whitening_chain", fingerprint,
-                         _chain_payload(chain))
-
-    if args.recipe == "lda_cds":
-        fit_set = proc_trn.concat(proc_dev) if proc_dev else proc_trn
-        projection = lda.fit_lda(fit_set)
-        fileio.save_artifact(model_dir / "lda.json", "lda_projection", fingerprint,
-                             {"mean": projection.mean.tolist(),
-                              "basis": projection.basis.tolist()})
-        artifacts["lda"] = "lda.json"
-
-        def project(vectors):
-            return whitening.length_normalize(lda.apply_lda(projection, vectors))
-    elif args.recipe == "siam_cds":
-        pair_set = proc_trn.concat(proc_dev) if proc_dev else proc_trn
-        out_dim = args.siam_out_dim or max(2, trn.dim // 2)
-        arch = siamese.default_arch(input_dim=trn.dim, output_dim=out_dim)
-        params = siamese.init_params(arch, seed=args.seed)
-        config = siamese.TrainConfig(
-            epochs=args.siam_epochs, n_pairs=args.siam_pairs,
-            dev_emphasis=args.dev_emphasis, seed=args.seed,
-        )
-        params, history = siamese.train(params, pair_set, config)
-        payload = _siamese_payload(params)
-        payload["loss_history"] = history
-        fileio.save_artifact(model_dir / "siamese.json", "siamese_params", fingerprint, payload)
-        artifacts["siamese"] = "siamese.json"
-
-        def project(vectors):
-            return siamese.forward_batch(params, vectors)
-    else:
-
-        def project(vectors):
-            return vectors
-
-    if args.recipe == "baseline_svm":
-        fit_set = proc_trn.concat(proc_dev) if proc_dev else proc_trn
-        model = svm.train_linear_svm(
-            project(fit_set.vectors),
-            [u.label for u in fit_set.utterances],
-            C=args.svm_c, epochs=args.svm_epochs, seed=args.seed, class_labels=labels,
-        )
-        fileio.save_artifact(model_dir / "svm.json", "linear_svm", fingerprint,
-                             {"labels": list(model.labels),
-                              "weights": model.weights.tolist(),
-                              "biases": model.biases.tolist(), "C": model.C})
-        artifacts["svm"] = "svm.json"
-    else:
-        trn_models = dialect_model.fit_dialect_means(
-            proc_trn.with_vectors(project(proc_trn.vectors)), labels, domain_desc="TRN"
-        )
-        if args.use_dev:
-            gamma = dialect_model.DEFAULT_GAMMA if args.gamma is None else args.gamma
-            dev_models = dialect_model.fit_dialect_means(
-                proc_dev.with_vectors(project(proc_dev.vectors)), labels, domain_desc="DEV"
-            )
-            models = dialect_model.interpolate_models(trn_models, dev_models, gamma)
-        else:
-            models = trn_models
-        fileio.save_artifact(model_dir / "models.json", "dialect_models", fingerprint,
-                             _models_payload(models))
-        artifacts["models"] = "models.json"
-
-    fileio.save_artifact(model_dir / "manifest.json", "manifest", fingerprint,
-                         {"flags": flags, "artifacts": artifacts})
-    print("trained %s -> %s (fingerprint %s)" % (args.recipe, model_dir, fingerprint))
+    fingerprint = Backend.fit(trn, dev, flags).save(args.model_dir, flags)
+    print("trained %s -> %s (fingerprint %s)" % (args.recipe, args.model_dir, fingerprint))
     return 0
 
 
-def _load_model_dir(model_dir):
-    model_dir = Path(model_dir)
-    manifest = fileio.load_artifact(model_dir / "manifest.json", "manifest")
-    flags = manifest["flags"]
-    fingerprint = fileio.config_fingerprint(flags)
-    if fileio.read_fingerprint(model_dir / "manifest.json") != fingerprint:
-        raise FormatError("manifest fingerprint does not match its flags")
-    artifacts = manifest["artifacts"]
-    loaded = {"flags": flags, "fingerprint": fingerprint}
-    loaded["chain"] = _chain_from_payload(
-        fileio.load_artifact(model_dir / artifacts["chain"], "whitening_chain", fingerprint)
-    )
-    if "lda" in artifacts:
-        payload = fileio.load_artifact(model_dir / artifacts["lda"], "lda_projection", fingerprint)
-        loaded["lda"] = lda.LdaProjection(mean=np.array(payload["mean"]),
-                                          basis=np.array(payload["basis"]))
-    if "siamese" in artifacts:
-        payload = fileio.load_artifact(model_dir / artifacts["siamese"], "siamese_params",
-                                       fingerprint)
-        loaded["siamese"] = _siamese_from_payload(payload)
-    if "svm" in artifacts:
-        payload = fileio.load_artifact(model_dir / artifacts["svm"], "linear_svm", fingerprint)
-        loaded["svm"] = svm.LinearSvmModel(
-            labels=tuple(payload["labels"]), weights=np.array(payload["weights"]),
-            biases=np.array(payload["biases"]), C=payload["C"])
-    if "models" in artifacts:
-        loaded["models"] = _models_from_payload(
-            fileio.load_artifact(model_dir / artifacts["models"], "dialect_models", fingerprint)
-        )
-    return loaded
-
-
 def cmd_score(args) -> int:
-    loaded = _load_model_dir(args.model_dir)
-    flags = loaded["flags"]
-    data = fileio.load_ivector_set(args.data, domain=Domain.TST)
-    _require_valid(data, str(args.data))
-    if data.dim != flags["dim"]:
+    backend, flags, fingerprint = Backend.load(args.model_dir)
+    data = _load_valid(args.data, Domain.TST)
+    if data.dim != backend.dim:
         raise ValidationError("data dim %d does not match model dim %d"
-                              % (data.dim, flags["dim"]))
-
-    order = np.argsort(np.array(data.ids))
-    data = data.subset(order)
-    system_id = "%s-%s" % (flags["recipe"], loaded["fingerprint"][:8])
-    if len(data) == 0:
-        table = ScoreTable(system_id=system_id, labels=tuple(flags["labels"]),
-                           utt_ids=(), scores=np.empty((0, len(flags["labels"]))))
-        fileio.save_score_table(table, args.out)
-        print("wrote empty score table to %s" % args.out)
-        return 0
-
-    vectors = whitening.apply_chain(loaded["chain"], data.vectors)
-    if "lda" in loaded:
-        vectors = whitening.length_normalize(lda.apply_lda(loaded["lda"], vectors))
-    if "siamese" in loaded:
-        vectors = siamese.forward_batch(loaded["siamese"], vectors)
-    if "svm" in loaded:
-        scores = svm.svm_decision(loaded["svm"], vectors)
-        labels = loaded["svm"].labels
-    else:
-        scores = dialect_model.cds_score(loaded["models"], vectors)
-        labels = loaded["models"].labels
-    table = ScoreTable(system_id=system_id, labels=labels, utt_ids=data.ids, scores=scores)
+                              % (data.dim, backend.dim))
+    data = data.subset(np.argsort(np.array(data.ids)))
+    labels, scores = backend.score(data.vectors)
+    table = ScoreTable(system_id="%s-%s" % (flags["recipe"], fingerprint[:8]),
+                       labels=labels, utt_ids=data.ids, scores=scores)
     fileio.save_score_table(table, args.out)
     print("wrote %d score rows to %s" % (len(table), args.out))
     return 0
@@ -339,10 +119,9 @@ def cmd_score(args) -> int:
 def cmd_calibrate_fuse(args) -> int:
     truth = fileio.load_labels(args.labels)
     tables = [fileio.load_score_table(p) for p in args.scores]
-    calibrated = []
-    for t in tables:
-        params = calibration.fit_calibration(t, truth, fit_domain=Path(args.labels).name)
-        calibrated.append(calibration.apply_calibration(params, t))
+    fit_domain = Path(args.labels).name
+    calibrated = [calibration.apply_calibration(
+        calibration.fit_calibration(t, truth, fit_domain=fit_domain), t) for t in tables]
 
     if args.fit_weights:
         weights = calibration.fit_fusion_weights(calibrated, truth,
@@ -350,13 +129,15 @@ def cmd_calibrate_fuse(args) -> int:
     else:
         if args.weights is None:
             raise ValidationError("provide --weights or --fit-weights")
-        values = [float(x) for x in args.weights.split(",")]
+        try:
+            values = [float(x) for x in args.weights.split(",")]
+        except ValueError:
+            raise ValidationError("--weights must be comma-separated numbers, got %r"
+                                  % args.weights)
         if len(values) != len(tables):
             raise ValidationError("got %d weights for %d score files"
                                   % (len(values), len(tables)))
-        weights = calibration.FusionWeights(
-            tuple((t.system_id, w) for t, w in zip(calibrated, values))
-        )
+        weights = calibration.FusionWeights(tuple(zip([t.system_id for t in calibrated], values)))
     fused = calibration.fuse(calibrated, weights)
 
     out_dir = Path(args.out_dir)
@@ -370,8 +151,6 @@ def cmd_calibrate_fuse(args) -> int:
 
 
 def _report_for_table(table: ScoreTable, truth) -> str:
-    from .metrics import confusion, render_report
-
     missing = [u for u in table.utt_ids if u not in truth]
     if missing:
         raise ValidationError("missing labels for %d utterances (e.g. %r)"

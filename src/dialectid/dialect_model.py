@@ -146,13 +146,11 @@ def snorm_scores(
             raise NumericError("degenerate cohort: zero standard deviation")
         return mu, sigma
 
-    model_stats = [stats(c) for c in cohort_scores_per_model]
-    test_stats = [stats(c) for c in cohort_scores_per_test]
-    out = np.empty_like(raw.scores)
-    for i, (mu_t, sd_t) in enumerate(test_stats):
-        for j, (mu_m, sd_m) in enumerate(model_stats):
-            s = raw.scores[i, j]
-            out[i, j] = 0.5 * ((s - mu_m) / sd_m + (s - mu_t) / sd_t)
+    # (mu, sigma) rows: one per model column, one per test row
+    model = np.array([stats(c) for c in cohort_scores_per_model]).reshape(-1, 2)
+    test = np.array([stats(c) for c in cohort_scores_per_test]).reshape(-1, 2)
+    s = raw.scores
+    out = 0.5 * ((s - model[:, 0]) / model[:, 1] + (s - test[:, :1]) / test[:, 1:])
     return ScoreTable(
         system_id=raw.system_id + "+snorm",
         labels=raw.labels,

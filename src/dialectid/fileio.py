@@ -35,6 +35,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 are a FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise FormatError("%s: not UTF-8 text (byte %d): %s" % (path, err.start, err.reason))
+
+
 # ---------------------------------------------------------------------------
 # vector sets
 # ---------------------------------------------------------------------------
@@ -49,8 +57,7 @@ def save_ivector_set(dataset: IVectorSet, path) -> None:
 
 def load_ivector_set(path, domain: Domain = Domain.TST) -> IVectorSet:
     """Read a vector set file; the split is implied by the file, not stored in it."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or not lines[0].startswith("dim="):
         raise FormatError("%s: first line must be dim=<d>" % path)
     try:
@@ -91,7 +98,7 @@ def save_score_table(table: ScoreTable, path) -> None:
 
 
 def load_score_table(path, calibrated: bool = False) -> ScoreTable:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise FormatError("%s: empty score file" % path)
     head = lines[0].split("\t")
@@ -124,7 +131,7 @@ def load_transcripts(path, source: str = "word"):
     from .text_features import Transcript
 
     out = []
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -143,7 +150,7 @@ def load_phone_sequences(path):
     from .text_features import PhoneSequence
 
     out = []
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -172,8 +179,7 @@ def save_phone_sequences(sequences, path) -> None:
 
 def load_labels(path) -> dict[str, str]:
     """utt_id -> label, from a 2-column TSV or from a labeled vector set file."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if lines and lines[0].startswith("dim="):
         dataset = load_ivector_set(path)
         out = {u.id: u.label for u in dataset.utterances if u.label is not None}
@@ -200,7 +206,7 @@ def load_labels(path) -> dict[str, str]:
 def parse_config(path, known_keys: Optional[Sequence[str]] = None) -> dict[str, str]:
     """Parse key=value lines; # starts a comment. Unknown keys fail fast."""
     out: dict[str, str] = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -238,11 +244,18 @@ def save_artifact(path, kind: str, fingerprint: str, payload: Mapping) -> None:
     )
 
 
-def load_artifact(path, kind: str, fingerprint: Optional[str] = None) -> dict:
+def _read_json(path) -> dict:
     try:
-        blob = json.loads(Path(path).read_text(encoding="utf-8"))
+        blob = json.loads(_read_text(path))
     except json.JSONDecodeError as err:
         raise FormatError("%s: invalid JSON artifact: %s" % (path, err))
+    if not isinstance(blob, dict):
+        raise FormatError("%s: artifact is not a JSON object" % path)
+    return blob
+
+
+def load_artifact(path, kind: str, fingerprint: Optional[str] = None) -> dict:
+    blob = _read_json(path)
     if blob.get("format_version") != ARTIFACT_VERSION:
         raise FormatError("%s: unsupported artifact version %r"
                           % (path, blob.get("format_version")))
@@ -250,14 +263,13 @@ def load_artifact(path, kind: str, fingerprint: Optional[str] = None) -> dict:
         raise FormatError("%s: expected %r artifact, found %r" % (path, kind, blob.get("kind")))
     if fingerprint is not None and blob.get("fingerprint") != fingerprint:
         raise FormatError("%s: fingerprint mismatch (model dir is inconsistent)" % path)
+    if not isinstance(blob.get("payload"), dict):
+        raise FormatError("%s: artifact has no payload object" % path)
     return blob["payload"]
 
 
 def read_fingerprint(path) -> str:
-    try:
-        blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise FormatError("%s: invalid JSON artifact: %s" % (path, err))
+    blob = _read_json(path)
     if "fingerprint" not in blob:
         raise FormatError("%s: artifact has no fingerprint" % path)
     return blob["fingerprint"]

@@ -4,8 +4,7 @@ Two copies of the same stack (shared weights) map a pair of vectors to a
 low-dimensional space; the loss is (y - cos(e1, e2))^2 with pair label
 y = +1 for same-dialect pairs and -1 otherwise. Backpropagation is
 implemented by hand; both twins' contributions accumulate into the shared
-parameter gradients. The convolution kernels live in `_kernels` and run
-under numba or numpy depending on the DIALECTID_NO_NUMBA flag.
+parameter gradients. The convolution kernels live in `_kernels`.
 """
 from __future__ import annotations
 

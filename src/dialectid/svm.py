@@ -4,7 +4,7 @@ Per label, minimizes 0.5*||w||^2 + C * sum_i hinge(y_i (w.x_i + b)) with
 the classic 1/(lambda*t) step schedule (lambda = 1/(C*N)), visiting samples
 in seeded shuffled order; retraining with the same seed is bitwise
 reproducible. Features may be dense arrays or scipy CSR matrices; the
-sweep itself runs on CSR arrays through the selectable kernels.
+sweep itself runs on CSR arrays in `_kernels.svm_epochs`.
 """
 from __future__ import annotations
 

@@ -20,6 +20,15 @@ def data_dir(tmp_path):
     return out
 
 
+@pytest.fixture()
+def tiny_data(tmp_path):
+    data = tmp_path / "data"
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("dim=32\nn_trn=12\nn_dev=6\nn_tst=6\nseed=2\n")
+    assert run("synth", "--config", cfg, "--out-dir", data) == 0
+    return data
+
+
 class TestSynthCommand:
     def test_writes_three_valid_splits(self, data_dir):
         from dialectid.data import validate_dataset
@@ -139,23 +148,23 @@ class TestScoreCommand:
         assert run("score", "--model-dir", m, "--data", data_dir / "tst.ivec",
                    "--out", tmp_path / "x.scores") == 4
 
-    def test_siamese_and_lda_and_svm_recipes_score(self, tmp_path):
-        data = tmp_path / "data"
-        cfg = tmp_path / "synth.cfg"
-        cfg.write_text("dim=32\nn_trn=12\nn_dev=6\nn_tst=6\nseed=2\n")
-        assert run("synth", "--config", cfg, "--out-dir", data) == 0
+    def test_siamese_and_lda_and_svm_recipes_score(self, tiny_data, tmp_path):
+        empty = tmp_path / "empty.ivec"
+        empty.write_text("dim=32\n")
         for recipe, extra in (
             ("lda_cds", ()),
             ("baseline_svm", ("--svm-epochs", 30)),
             ("siam_cds", ("--siam-epochs", 2, "--siam-pairs", 200)),
         ):
             m = tmp_path / ("m_" + recipe)
-            assert run("train", "--recipe", recipe, "--data-dir", data,
+            assert run("train", "--recipe", recipe, "--data-dir", tiny_data,
                        "--model-dir", m, *extra) == 0
             out = tmp_path / (recipe + ".scores")
-            assert run("score", "--model-dir", m, "--data", data / "tst.ivec",
+            assert run("score", "--model-dir", m, "--data", tiny_data / "tst.ivec",
                        "--out", out) == 0
             assert len(load_score_table(out)) == 30
+            assert run("score", "--model-dir", m, "--data", empty, "--out", out) == 0
+            assert len(load_score_table(out)) == 0
 
 
 class TestCalibrateFuseAndEvaluate:
@@ -225,3 +234,108 @@ class TestCalibrateFuseAndEvaluate:
         scores = tmp_path / "s.scores"
         scores.write_text("sys\tA\tB\nu1\t1.0\t0.0\nu2\t0.0\t1.0\n")
         assert run("evaluate", "--scores", scores, "--labels", labels) == 2
+
+
+def only_stderr_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+class TestRerunDeterminism:
+    @pytest.mark.parametrize("recipe, extra", [
+        ("cds", ()),
+        ("lda_cds", ("--use-dev",)),
+        ("baseline_svm", ("--use-dev", "--svm-epochs", 30)),
+        ("siam_cds", ("--use-dev", "--siam-epochs", 2, "--siam-pairs", 200)),
+    ])
+    def test_model_dir_and_scores_byte_identical(self, tiny_data, tmp_path, recipe, extra):
+        from dialectid.backend import Backend
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert run("train", "--recipe", recipe, "--data-dir", tiny_data,
+                       "--model-dir", out / "model", *extra) == 0
+            assert run("score", "--model-dir", out / "model", "--data", tiny_data / "tst.ivec",
+                       "--out", out / "tst.scores") == 0
+            runs.append(files(out))
+        assert runs[0] == runs[1]
+        # loading and saving again reproduces the model directory
+        backend, flags, _ = Backend.load(tmp_path / "a" / "model")
+        backend.save(tmp_path / "resaved", flags)
+        assert files(tmp_path / "resaved") == files(tmp_path / "a" / "model")
+
+
+def _edit_payload(edit):
+    def mutate(blob):
+        edit(blob["payload"])
+        return blob
+    return mutate
+
+
+class TestMalformedModelDir:
+    @pytest.mark.parametrize("artifact, mutate", [
+        ("models.json", _edit_payload(lambda p: p.pop("provenance"))),
+        ("manifest.json", _edit_payload(lambda p: p["artifacts"].pop("chain"))),
+        ("models.json", _edit_payload(lambda p: p.update(models="not a matrix"))),
+        ("models.json", _edit_payload(lambda p: p.update(provenance=["interpolated"]))),
+        ("chain.json", _edit_payload(lambda p: p["stages"][0].update(matrix=[[1.0]]))),
+        ("manifest.json", lambda blob: dict(blob, payload=[])),
+        ("chain.json", lambda blob: [blob]),
+    ], ids=["missing-provenance", "missing-chain", "string-models", "list-provenance",
+            "wrong-shape-matrix", "list-payload", "list-artifact"])
+    def test_exits_4_with_one_line(self, data_dir, tmp_path, capsys, artifact, mutate):
+        m = tmp_path / "m"
+        assert run("train", "--recipe", "cds", "--data-dir", data_dir, "--model-dir", m) == 0
+        path = m / artifact
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert run("score", "--model-dir", m, "--data", data_dir / "tst.ivec",
+                   "--out", tmp_path / "x.scores") == 4
+        assert only_stderr_line(capsys).startswith("i/o error:")
+        assert not (tmp_path / "x.scores").exists()
+
+
+class TestNonUtf8Inputs:
+    @pytest.mark.parametrize("bad", ["ivec", "scores", "labels"])
+    def test_undecodable_byte_exits_4(self, tmp_path, capsys, bad):
+        texts = {"ivec": "dim=2\nu1\tA\t0.1 0.2\nu2\tB\t0.3 0.1\n",
+                 "scores": "sys\tA\tB\nu1\t1.0\t0.0\nu2\t0.0\t1.0\n",
+                 "labels": "u1\tA\nu2\tB\n"}
+        paths = {}
+        for name, text in texts.items():
+            raw = text.encode("utf-8")
+            if name == bad:
+                raw = raw.replace(b"u2", b"u\xff2")
+            paths[name] = tmp_path / ("trn.ivec" if name == "ivec" else name)
+            paths[name].write_bytes(raw)
+        if bad == "ivec":
+            argv = ("train", "--recipe", "cds", "--data-dir", tmp_path,
+                    "--model-dir", tmp_path / "m")
+        else:
+            argv = ("evaluate", "--scores", paths["scores"], "--labels", paths["labels"])
+        assert run(*argv) == 4
+        assert only_stderr_line(capsys).startswith("i/o error:")
+
+
+class TestFusionFlags:
+    @pytest.mark.parametrize("flags", [
+        ("--weights", "abc"),
+        ("--weights", "0.5,x"),
+        ("--fit-weights", "--resolution", "0"),
+        ("--fit-weights", "--resolution", "-0.5"),
+    ])
+    def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, flags):
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("u1\tA\nu2\tB\n")
+        scores = tmp_path / "s.scores"
+        scores.write_text("sys\tA\tB\nu1\t1.0\t0.0\nu2\t0.0\t1.0\n")
+        assert run("calibrate-fuse", "--scores", scores, "--labels", labels,
+                   "--out-dir", tmp_path / "f", *flags) == 2
+        assert only_stderr_line(capsys).startswith("validation error:")
+        assert not (tmp_path / "f").exists()

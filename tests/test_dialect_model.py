@@ -160,6 +160,19 @@ class TestSnorm:
         expect2 = 0.5 * (1.0 / np.sqrt(2 / 3) + 1.0 / np.sqrt(8 / 3))
         assert out2.scores[0, 0] == pytest.approx(expect2)
 
+    def test_matches_per_cell_formula_bitwise(self):
+        rng = np.random.default_rng(0)
+        raw = ScoreTable("sys", ("A", "B"), ("u1", "u2", "u3"), rng.normal(size=(3, 2)))
+        per_model = [rng.normal(size=5) for _ in range(2)]
+        per_test = [rng.normal(size=4) for _ in range(3)]
+        out = snorm_scores(raw, per_model, per_test)
+        for i, test in enumerate(per_test):
+            for j, model in enumerate(per_model):
+                s = raw.scores[i, j]
+                want = 0.5 * ((s - float(model.mean())) / float(model.std())
+                              + (s - float(test.mean())) / float(test.std()))
+                assert out.scores[i, j] == want
+
     def test_degenerate_cohort_errors(self):
         raw = ScoreTable("sys", ("A",), ("u1",), np.array([[0.4]]))
         with pytest.raises(NumericError):
