@@ -125,8 +125,6 @@ class Backend:
     def score(self, vectors: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
         """Raw (n, dim) vectors -> (labels, (n, K) scores)."""
         labels = self.scorer.labels
-        if len(vectors) == 0:  # the twin network cannot reshape an empty batch
-            return labels, np.empty((0, len(labels)))
         vectors = self.transform(vectors)
         if isinstance(self.scorer, svm.LinearSvmModel):
             return labels, svm.svm_decision(self.scorer, vectors)

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import ScoreTable
+from .dialect_model import classify_rows
 from .errors import NumericError, ValidationError
 
 MIN_SLOPE = 1e-12
@@ -167,12 +168,8 @@ def fit_fusion_weights(
             counts[c] += 1
         w = tuple(c / steps for c in counts)
         fused = fuse(tables, FusionWeights(tuple(zip(ids, w))))
-        correct = 0
-        for i, utt in enumerate(fused.utt_ids):
-            pred = fused.labels[int(np.argmax(fused.scores[i]))]
-            if truth.get(utt) == pred:
-                correct += 1
-        acc = correct / len(fused.utt_ids)
+        pred = classify_rows(fused)
+        acc = sum(truth.get(utt) == lab for utt, lab in pred.items()) / len(fused.utt_ids)
         key = (-acc, w)
         if best is None or key < best[0]:
             best = (key, w)

@@ -160,19 +160,7 @@ def snorm_scores(
     )
 
 
-def classify(scores: np.ndarray, labels: Sequence[str]) -> str:
-    """Argmax label; exact ties go to the earliest label in the configured order."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.shape[0] == 0:
-        raise ValidationError("scores must be a non-empty vector")
-    if scores.shape[0] != len(labels):
-        raise ValidationError("got %d scores for %d labels" % (scores.shape[0], len(labels)))
-    return tuple(labels)[int(np.argmax(scores))]
-
-
 def classify_rows(table: ScoreTable) -> dict[str, str]:
-    """Per-row argmax decisions for a whole table."""
-    return {
-        utt: tuple(table.labels)[int(np.argmax(table.scores[i]))]
-        for i, utt in enumerate(table.utt_ids)
-    }
+    """utt_id -> argmax label per row; exact ties go to the earliest label."""
+    best = table.scores.argmax(axis=1)
+    return {utt: table.labels[k] for utt, k in zip(table.utt_ids, best)}

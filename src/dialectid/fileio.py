@@ -55,33 +55,46 @@ def save_ivector_set(dataset: IVectorSet, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_ivector_set(path, domain: Domain = Domain.TST) -> IVectorSet:
-    """Read a vector set file; the split is implied by the file, not stored in it."""
-    lines = _read_text(path).splitlines()
+def _vector_rows(path, lines):
+    """(d, rows) of a vector set file; rows lazily yields (line, utt_id, label, tokens).
+
+    Checks the ``dim=<d>`` header, three fields and d values per row; parses no number.
+    """
     if not lines or not lines[0].startswith("dim="):
         raise FormatError("%s: first line must be dim=<d>" % path)
     try:
         dim = int(lines[0][4:])
     except ValueError:
         raise FormatError("%s: bad dim header %r" % (path, lines[0]))
+
+    def rows():
+        for ln, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise FormatError("%s:%d: expected utt_id<TAB>label<TAB>values" % (path, ln))
+            values = parts[2].split()
+            if len(values) != dim:
+                raise FormatError("%s:%d: expected %d values, got %d"
+                                  % (path, ln, dim, len(values)))
+            yield ln, parts[0], parts[1], values
+
+    return dim, rows()
+
+
+def load_ivector_set(path, domain: Domain = Domain.TST) -> IVectorSet:
+    """Read a vector set file; the split is implied by the file, not stored in it."""
+    dim, entries = _vector_rows(path, _read_text(path).splitlines())
     utts = []
     rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise FormatError("%s:%d: expected utt_id<TAB>label<TAB>values" % (path, ln))
-        utt_id, label, values = parts
+    for ln, utt_id, label, values in entries:
         try:
-            vec = np.array([float(x) for x in values.split()], dtype=np.float64)
+            rows.append(np.array([float(x) for x in values], dtype=np.float64))
         except ValueError:
             raise FormatError("%s:%d: unparseable vector entries" % (path, ln))
-        if vec.shape[0] != dim:
-            raise FormatError("%s:%d: expected %d values, got %d" % (path, ln, dim, vec.shape[0]))
         utts.append(Utterance(id=utt_id, domain=domain,
                               label=None if label == UNLABELED else label))
-        rows.append(vec)
     matrix = np.vstack(rows) if rows else np.empty((0, dim))
     return IVectorSet(dim=dim, utterances=tuple(utts), vectors=matrix)
 
@@ -181,19 +194,17 @@ def load_labels(path) -> dict[str, str]:
     """utt_id -> label, from a 2-column TSV or from a labeled vector set file."""
     lines = _read_text(path).splitlines()
     if lines and lines[0].startswith("dim="):
-        dataset = load_ivector_set(path)
-        out = {u.id: u.label for u in dataset.utterances if u.label is not None}
-        if not out:
-            raise FormatError("%s: vector set has no labels" % path)
-        return out
-    out = {}
-    for ln, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError("%s:%d: expected utt_id<TAB>label" % (path, ln))
-        out[parts[0]] = parts[1]
+        out = {utt: label for _, utt, label, _ in _vector_rows(path, lines)[1]
+               if label != UNLABELED}
+    else:
+        out = {}
+        for ln, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise FormatError("%s:%d: expected utt_id<TAB>label" % (path, ln))
+            out[parts[0]] = parts[1]
     if not out:
         raise FormatError("%s: no labels found" % path)
     return out

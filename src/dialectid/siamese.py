@@ -3,13 +3,15 @@
 Two copies of the same stack (shared weights) map a pair of vectors to a
 low-dimensional space; the loss is (y - cos(e1, e2))^2 with pair label
 y = +1 for same-dialect pairs and -1 otherwise. Backpropagation is
-implemented by hand; both twins' contributions accumulate into the shared
-parameter gradients. The convolution kernels live in `_kernels`.
+implemented by hand. Both twins run as one stacked batch, so one forward
+and one backward pass give the shared parameter gradients. Pairs are row
+indices into the training set. The convolution kernels live in `_kernels`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -104,6 +106,13 @@ class SiameseArch:
         return trace
 
 
+def _param_shapes(layer: Layer) -> tuple[tuple[int, ...], tuple[int]]:
+    """(weight shape, bias shape); a weight's fan-in is the product of its trailing dims."""
+    if isinstance(layer, Conv1d):
+        return (layer.out_channels, layer.in_channels, layer.kernel), (layer.out_channels,)
+    return (layer.out_dim, layer.in_dim), (layer.out_dim,)
+
+
 def default_arch(input_dim: int = 400, output_dim: int = 200) -> SiameseArch:
     """Two tanh conv layers (kernel 8, stride 2, channels 1->4->8) + linear dense."""
     t1 = (input_dim - 8) // 2 + 1
@@ -136,13 +145,7 @@ class SiameseParams:
         if len(self.weights) != len(self.arch.layers) or len(self.biases) != len(self.arch.layers):
             raise ValidationError("parameter count does not match layer count")
         for i, (layer, w, b) in enumerate(zip(self.arch.layers, self.weights, self.biases)):
-            if isinstance(layer, Conv1d):
-                expect_w = (layer.out_channels, layer.in_channels, layer.kernel)
-                expect_b = (layer.out_channels,)
-            else:
-                expect_w = (layer.out_dim, layer.in_dim)
-                expect_b = (layer.out_dim,)
-            if w.shape != expect_w or b.shape != expect_b:
+            if (w.shape, b.shape) != _param_shapes(layer):
                 raise ValidationError("layer %d parameter shape mismatch" % i)
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValidationError("layer %d has non-finite parameters" % i)
@@ -152,31 +155,13 @@ class SiameseParams:
                              biases=tuple(biases), seed=self.seed)
 
 
-@dataclass(frozen=True)
-class IVectorPair:
-    a: np.ndarray
-    b: np.ndarray
-    y: int  # +1 same dialect, -1 different
-
-    def __post_init__(self):
-        if self.y not in (1, -1):
-            raise ValidationError("pair label must be +1 or -1, got %r" % (self.y,))
-
-
 def init_params(arch: SiameseArch, seed: int = 0) -> SiameseParams:
     """Fan-in scaled uniform init (+-sqrt(6/fan_in)), zero biases, seeded."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for layer in arch.layers:
-        if isinstance(layer, Conv1d):
-            fan_in = layer.in_channels * layer.kernel
-            shape = (layer.out_channels, layer.in_channels, layer.kernel)
-            b_shape = (layer.out_channels,)
-        else:
-            fan_in = layer.in_dim
-            shape = (layer.out_dim, layer.in_dim)
-            b_shape = (layer.out_dim,)
-        lim = np.sqrt(6.0 / fan_in)
+        shape, b_shape = _param_shapes(layer)
+        lim = np.sqrt(6.0 / math.prod(shape[1:]))
         weights.append(rng.uniform(-lim, lim, size=shape))
         biases.append(np.zeros(b_shape))
     return SiameseParams(arch=arch, weights=tuple(weights), biases=tuple(biases), seed=seed)
@@ -186,38 +171,27 @@ def _forward_batch(params: SiameseParams, X: np.ndarray):
     """Run the stack on a (B, input_dim) batch; returns embeddings and caches.
 
     Cache per layer: (input in layer shape, activated output) — what the
-    backward pass needs for weight gradients and tanh derivatives.
+    backward pass needs for weight gradients and tanh derivatives. Shapes
+    come from the layers, never from the batch, so B may be 0.
     """
-    cur = np.ascontiguousarray(X, dtype=np.float64)[:, None, :]  # (B, 1, L)
+    cur = np.ascontiguousarray(X, dtype=np.float64)
     caches = []
     for layer, w, b in zip(params.arch.layers, params.weights, params.biases):
         if isinstance(layer, Conv1d):
-            x_in = cur
+            x_in = cur if cur.ndim == 3 else cur[:, None, :]
             z = _kernels.conv1d_forward(x_in, w, b, layer.stride)
         else:
-            x_in = cur.reshape(cur.shape[0], -1)
+            x_in = cur.reshape(cur.shape[0], layer.in_dim)
             z = x_in @ w.T + b
         if not np.all(np.isfinite(z)):
             raise NumericError("non-finite activations in forward pass (divergence)")
-        a = np.tanh(z) if layer.activation == "tanh" else z
-        caches.append((x_in, a))
-        cur = a if a.ndim == 3 else a[:, None, :]
-    return cur.reshape(cur.shape[0], -1), caches
-
-
-def forward(params: SiameseParams, v: np.ndarray) -> np.ndarray:
-    """Embed a single vector (input_dim,) -> (output_dim,)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != params.arch.input_dim:
-        raise ValidationError(
-            "expected a vector of length %d, got shape %r" % (params.arch.input_dim, v.shape)
-        )
-    out, _ = _forward_batch(params, v[None, :])
-    return out[0]
+        cur = np.tanh(z) if layer.activation == "tanh" else z
+        caches.append((x_in, cur))
+    return cur, caches  # the last layer is Dense, so cur is (B, output_dim)
 
 
 def forward_batch(params: SiameseParams, X: np.ndarray) -> np.ndarray:
-    """Embed a (n, input_dim) matrix row-wise."""
+    """Embed a (n, input_dim) matrix row-wise; n may be 0."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.arch.input_dim:
         raise ValidationError("expected (n, %d) input, got %r" % (params.arch.input_dim, X.shape))
@@ -239,56 +213,57 @@ def pair_loss(e1: np.ndarray, e2: np.ndarray, y: int) -> float:
     return float((y - pair_distance(e1, e2)) ** 2)
 
 
-def _backward_twin(params: SiameseParams, caches, d_embed, grads_w, grads_b):
-    """Push d_embed back through one twin, accumulating into grads_w/b."""
+def _backward(params: SiameseParams, caches, d_embed):
+    """Push d_embed back through the stack; returns (grad_weights, grad_biases)."""
+    n_layers = len(params.arch.layers)
+    grads_w, grads_b = [None] * n_layers, [None] * n_layers
     g = d_embed
-    for idx in range(len(params.arch.layers) - 1, -1, -1):
+    for idx in range(n_layers - 1, -1, -1):
         layer = params.arch.layers[idx]
         x_in, a = caches[idx]
         g = g.reshape(a.shape)
         if layer.activation == "tanh":
             g = g * (1.0 - a * a)
         if isinstance(layer, Dense):
-            grads_w[idx] += g.T @ x_in
-            grads_b[idx] += g.sum(axis=0)
+            grads_w[idx] = g.T @ x_in
+            grads_b[idx] = g.sum(axis=0)
             g = g @ params.weights[idx]
         else:
-            g = np.ascontiguousarray(g)
-            dx, dw, db = _kernels.conv1d_backward(x_in, params.weights[idx], layer.stride, g)
-            grads_w[idx] += dw
-            grads_b[idx] += db
-            g = dx
+            g, grads_w[idx], grads_b[idx] = _kernels.conv1d_backward(
+                x_in, params.weights[idx], layer.stride, np.ascontiguousarray(g))
     return grads_w, grads_b
 
 
-def grad(params: SiameseParams, batch: Sequence[IVectorPair]):
-    """Analytic gradient of the mean pair loss over `batch`.
+def grad(params: SiameseParams, xa: np.ndarray, xb: np.ndarray, y: np.ndarray):
+    """Analytic gradient of the mean loss over pairs (xa[i], xb[i]) labeled y[i] = +-1.
 
     Returns (grad_weights, grad_biases, mean_loss) with gradients shaped
-    exactly like the parameters. The cosine Jacobian flows through both
-    twins and the shared weights accumulate both contributions. Pairs whose
-    embedding norm falls below 1e-12 are skipped (they have no direction);
-    if every pair degenerates the gradient is zero and the loss 0.0.
+    exactly like the parameters. Both twins run as one stacked batch, one
+    forward and one backward pass, so the shared weights get both
+    contributions at once. Pairs whose embedding norm falls below 1e-12 are
+    skipped (they have no direction); if every pair degenerates the
+    gradient is zero and the loss 0.0.
     """
-    if not batch:
+    xa, xb, y = (np.asarray(v, dtype=np.float64) for v in (xa, xb, y))
+    if y.ndim != 1 or not xa.shape == xb.shape == (len(y), params.arch.input_dim):
+        raise ValidationError("pairs need (n, %d) xa and xb and (n,) y, got %r, %r and %r"
+                              % (params.arch.input_dim, xa.shape, xb.shape, y.shape))
+    if y.size == 0:
         raise ValidationError("gradient needs a non-empty batch")
-    Xa = np.stack([p.a for p in batch]).astype(np.float64)
-    Xb = np.stack([p.b for p in batch]).astype(np.float64)
-    y = np.array([p.y for p in batch], dtype=np.float64)
+    if not np.all(np.abs(y) == 1.0):
+        raise ValidationError("pair labels must be +1 or -1")
 
-    ea, ca = _forward_batch(params, Xa)
-    eb, cb = _forward_batch(params, Xb)
+    e, caches = _forward_batch(params, np.concatenate([xa, xb]))
+    ea, eb = np.split(e, 2)  # the twins' halves of the stacked batch
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow here is the divergence signal caught right below
         na = np.linalg.norm(ea, axis=1)
         nb = np.linalg.norm(eb, axis=1)
         keep = (na > ZERO_EMBEDDING_EPS) & (nb > ZERO_EMBEDDING_EPS)
         m = int(keep.sum())
-
-        grads_w = [np.zeros_like(w) for w in params.weights]
-        grads_b = [np.zeros_like(b) for b in params.biases]
         if m == 0:
-            return grads_w, grads_b, 0.0
+            return ([np.zeros_like(w) for w in params.weights],
+                    [np.zeros_like(b) for b in params.biases], 0.0)
 
         na_s = np.where(keep, na, 1.0)
         nb_s = np.where(keep, nb, 1.0)
@@ -305,8 +280,7 @@ def grad(params: SiameseParams, batch: Sequence[IVectorPair]):
     dea[~keep] = 0.0
     deb[~keep] = 0.0
 
-    _backward_twin(params, ca, dea, grads_w, grads_b)
-    _backward_twin(params, cb, deb, grads_w, grads_b)
+    grads_w, grads_b = _backward(params, caches, np.concatenate([dea, deb]))
     for gw, gb in zip(grads_w, grads_b):
         if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
             raise NumericError("non-finite gradient (divergence)")
@@ -319,9 +293,11 @@ def sample_pairs(
     positive_fraction: float = 0.5,
     seed: int = 0,
     dev_emphasis: float = 0.0,
-) -> list[IVectorPair]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw labeled pairs: positives within a dialect, negatives across.
 
+    Returns (ia, ib, y): pair k joins rows ia[k] and ib[k] of `data`, and
+    y[k] is +1 for the positives (which come first) and -1 for the rest.
     Utterances from the DEV domain carry sampling weight (1 + dev_emphasis)
     relative to TRN/TST ones, so the in-domain split can be emphasized.
     Deterministic given the seed. Positive count is round(n * fraction).
@@ -333,47 +309,42 @@ def sample_pairs(
     if dev_emphasis < 0.0:
         raise ValidationError("dev_emphasis must be nonnegative")
 
-    labeled = [i for i, u in enumerate(data.utterances) if u.label is not None]
-    if not labeled:
+    labeled = np.flatnonzero([u.label is not None for u in data.utterances])
+    if not labeled.size:
         raise ValidationError("pair sampling needs labeled utterances")
-    labels = sorted({data.utterances[i].label for i in labeled})
-    by_label = {
-        lab: np.array([i for i in labeled if data.utterances[i].label == lab]) for lab in labels
-    }
+    lab = np.array([data.utterances[i].label for i in labeled])
+    labels = sorted(set(lab.tolist()))
     n_pos = int(round(n_pairs * positive_fraction))
     n_neg = n_pairs - n_pos
-    if n_pos > 0:
-        singles = [lab for lab, idx in by_label.items() if idx.size < 2]
-        if singles:
-            raise ValidationError(
-                "positive pairs impossible: dialect(s) %r have fewer than 2 utterances"
-                % (singles,)
-            )
+    singles = [d for d in labels if np.count_nonzero(lab == d) < 2]
+    if n_pos > 0 and singles:
+        raise ValidationError("positive pairs impossible: dialect(s) %r have fewer than 2 "
+                              "utterances" % (singles,))
     if n_neg > 0 and len(labels) < 2:
         raise ValidationError("negative pairs impossible with a single dialect")
 
-    idx_all = np.array(labeled)
-    weights = np.array(
-        [1.0 + dev_emphasis if data.utterances[i].domain is Domain.DEV else 1.0 for i in labeled]
-    )
+    weights = np.where([data.utterances[i].domain is Domain.DEV for i in labeled],
+                       1.0 + dev_emphasis, 1.0)
     prob_all = weights / weights.sum()
-    lab_of = {i: data.utterances[i].label for i in labeled}
+    # per dialect: its own rows with their weights, and every other dialect's
+    # rows with their draw probabilities
+    same = {d: (labeled[lab == d], weights[lab == d]) for d in labels}
+    other = {d: (labeled[lab != d], weights[lab != d] / weights[lab != d].sum())
+             for d in labels}
     rng = np.random.default_rng(seed)
-    pairs = []
-    for _ in range(n_pos):
-        i = int(rng.choice(idx_all, p=prob_all))
-        pool = by_label[lab_of[i]]
-        pool = pool[pool != i]
-        w = weights[np.searchsorted(idx_all, pool)]
-        j = int(rng.choice(pool, p=w / w.sum()))
-        pairs.append(IVectorPair(a=data.vectors[i], b=data.vectors[j], y=1))
-    for _ in range(n_neg):
-        i = int(rng.choice(idx_all, p=prob_all))
-        pool = np.array([j for j in labeled if lab_of[j] != lab_of[i]])
-        w = weights[np.searchsorted(idx_all, pool)]
-        j = int(rng.choice(pool, p=w / w.sum()))
-        pairs.append(IVectorPair(a=data.vectors[i], b=data.vectors[j], y=-1))
-    return pairs
+    ia = np.empty(n_pairs, dtype=np.int64)
+    ib = np.empty(n_pairs, dtype=np.int64)
+    for k in range(n_pairs):
+        at = rng.choice(len(labeled), p=prob_all)  # the same draw as choosing from `labeled`
+        ia[k] = labeled[at]
+        if k < n_pos:
+            pool, w = same[lab[at]]
+            keep = pool != ia[k]
+            pool, p = pool[keep], w[keep] / w[keep].sum()
+        else:
+            pool, p = other[lab[at]]
+        ib[k] = rng.choice(pool, p=p)
+    return ia, ib, np.repeat([1, -1], [n_pos, n_neg])
 
 
 @dataclass(frozen=True)
@@ -402,7 +373,7 @@ def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
     A non-finite loss aborts with the partial history attached to the
     raised NumericError.
     """
-    pairs = sample_pairs(
+    ia, ib, y = sample_pairs(
         data,
         n_pairs=config.n_pairs,
         positive_fraction=config.positive_fraction,
@@ -410,30 +381,28 @@ def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
         dev_emphasis=config.dev_emphasis,
     )
     rng = np.random.default_rng(config.seed + 1)
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    n_layers = len(params.weights)
+    arrays = [a.copy() for a in params.weights + params.biases]  # weights, then biases
+    velocity = [np.zeros_like(a) for a in arrays]
     history: list[float] = []
-    current = params.replace_arrays(weights, biases)
+    current = params.replace_arrays(arrays[:n_layers], arrays[n_layers:])
     for _ in range(config.epochs):
-        order = rng.permutation(len(pairs))
+        order = rng.permutation(len(y))
         total = 0.0
         counted = 0
-        for lo in range(0, len(pairs), config.batch_size):
-            chunk = [pairs[k] for k in order[lo:lo + config.batch_size]]
+        for lo in range(0, len(y), config.batch_size):
+            batch = order[lo:lo + config.batch_size]
             try:
-                gw, gb, loss = grad(current, chunk)
+                gw, gb, loss = grad(current, data.vectors[ia[batch]], data.vectors[ib[batch]],
+                                    y[batch])
             except NumericError as err:
                 raise NumericError(str(err), history=history) from err
-            total += loss * len(chunk)
-            counted += len(chunk)
-            for i in range(len(weights)):
-                vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * gw[i]
-                vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * gb[i]
-                weights[i] = weights[i] + vel_w[i]
-                biases[i] = biases[i] + vel_b[i]
-            current = current.replace_arrays(weights, biases)
+            total += loss * len(batch)
+            counted += len(batch)
+            for i, g in enumerate(gw + gb):
+                velocity[i] = config.momentum * velocity[i] - config.learning_rate * g
+                arrays[i] = arrays[i] + velocity[i]
+            current = current.replace_arrays(arrays[:n_layers], arrays[n_layers:])
         epoch_loss = total / counted if counted else 0.0
         if not np.isfinite(epoch_loss):
             raise NumericError("training diverged (non-finite epoch loss)", history=history)

@@ -27,7 +27,6 @@ class LinearSvmModel:
     weights: np.ndarray = field(repr=False)  # (K, d)
     biases: np.ndarray = field(repr=False)  # (K,)
     C: float = DEFAULT_C
-    penalty: str = "l2"
 
     def __post_init__(self):
         weights = np.atleast_2d(np.asarray(self.weights, dtype=np.float64))
@@ -41,8 +40,6 @@ class LinearSvmModel:
             raise ValidationError("SVM parameters must be finite")
         if self.C <= 0:
             raise ValidationError("C must be positive")
-        if self.penalty != "l2":
-            raise ValidationError("only l2 penalty is supported")
 
     @property
     def dim(self) -> int:

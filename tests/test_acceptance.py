@@ -113,18 +113,17 @@ class TestCriterion4GradientCheck:
         worst = 0.0
         for draw in range(20):
             params = siamese.init_params(arch, seed=1000 + draw)
-            pair = siamese.IVectorPair(
-                a=rng.normal(size=11), b=rng.normal(size=11),
-                y=int(rng.choice([1, -1])),
-            )
-            gw, gb, _ = siamese.grad(params, [pair])
+            a = rng.normal(size=(1, 11))
+            b = rng.normal(size=(1, 11))
+            y = np.array([int(rng.choice([1, -1]))])
+            gw, gb, _ = siamese.grad(params, a, b, y)
             weights = [w.copy() for w in params.weights]
             biases = [b.copy() for b in params.biases]
 
             def loss_at():
                 p = params.replace_arrays([w.copy() for w in weights],
                                           [b.copy() for b in biases])
-                return siamese.grad(p, [pair])[2]
+                return siamese.grad(p, a, b, y)[2]
 
             for arrays, grads in ((weights, gw), (biases, gb)):
                 for arr, g in zip(arrays, grads):

@@ -6,8 +6,8 @@ from dialectid.dialect_model import (
     DEFAULT_GAMMA,
     DialectModelSet,
     ModelProvenance,
-    classify,
     cds_score,
+    classify_rows,
     fit_dialect_means,
     interpolate_models,
     snorm_scores,
@@ -131,8 +131,8 @@ class TestCdsScore:
             make_set(rng.normal(size=(10, 6)), labels=list("AABBCCDDEE")),
             labels=["A", "B", "C", "D", "E"],
         )
-        for k, lab in enumerate(m.labels):
-            assert classify(cds_score(m, m.models[k]), m.labels) == lab
+        table = ScoreTable("sys", m.labels, m.labels, cds_score(m, m.models))
+        assert classify_rows(table) == {lab: lab for lab in m.labels}
 
 
 class TestSnorm:
@@ -179,21 +179,36 @@ class TestSnorm:
             snorm_scores(raw, [np.array([0.5, 0.5])], [np.array([0.1, 0.3])])
 
 
+def _one_row(scores, labels):
+    return ScoreTable("sys", labels, ("u1",), np.array([scores], dtype=np.float64))
+
+
 class TestClassify:
     def test_unique_max(self):
         labels = ("A", "B", "C", "D", "E")
-        assert classify(np.array([0.9, 0.1, 0.1, 0.1, 0.1]), labels) == "A"
+        assert classify_rows(_one_row([0.9, 0.1, 0.1, 0.1, 0.1], labels)) == {"u1": "A"}
 
     def test_tie_goes_to_earlier_label(self):
         labels = ("A", "B", "C", "D", "E")
-        assert classify(np.array([0.1, 0.7, 0.1, 0.7, 0.1]), labels) == "B"
+        assert classify_rows(_one_row([0.1, 0.7, 0.1, 0.7, 0.1], labels)) == {"u1": "B"}
 
     def test_all_equal_gives_first(self):
-        assert classify(np.zeros(3), ("X", "Y", "Z")) == "X"
+        assert classify_rows(_one_row([0.0, 0.0, 0.0], ("X", "Y", "Z"))) == {"u1": "X"}
+
+    def test_rows_decided_independently(self):
+        table = ScoreTable("sys", ("A", "B"), ("u1", "u2", "u3"),
+                           np.array([[0.2, 0.8], [0.5, 0.5], [0.9, -0.9]]))
+        assert classify_rows(table) == {"u1": "B", "u2": "A", "u3": "A"}
 
     def test_empty_errors(self):
+        # no labels is refused by the table; no rows gives no decisions
         with pytest.raises(ValidationError):
-            classify(np.array([]), ())
+            ScoreTable("sys", (), (), np.empty((0, 0)))
+        assert classify_rows(ScoreTable("sys", ("A", "B"), (), np.empty((0, 2)))) == {}
+
+    def test_score_label_count_mismatch_errors(self):
+        with pytest.raises(ValidationError):
+            _one_row([0.1, 0.2, 0.3], ("A", "B"))
 
 
 class TestGammaSweepTrend:

@@ -118,6 +118,19 @@ class TestLabels:
         labels = load_labels(p)
         assert labels[ds.trn.ids[0]] == ds.trn.utterances[0].label
 
+    def test_vector_set_labels_skip_unlabeled_rows(self, tmp_path):
+        p = tmp_path / "x.ivec"
+        p.write_text("dim=2\nu1\tA\t1.0 2.0\nu2\t-\t3.0 4.0\n\nu3\tB\t5.0 6.0\n")
+        assert load_labels(p) == {"u1": "A", "u3": "B"}
+
+    @pytest.mark.parametrize("row", ["u2\tB", "u2\tB\t1.0", "u2\tB\t1.0 2.0 3.0"],
+                             ids=["two_fields", "too_few_values", "too_many_values"])
+    def test_vector_set_labels_reject_malformed_row(self, tmp_path, row):
+        p = tmp_path / "x.ivec"
+        p.write_text("dim=2\nu1\tA\t1.0 2.0\n%s\n" % row)
+        with pytest.raises(FormatError, match=":3:"):
+            load_labels(p)
+
 
 class TestConfigParsing:
     def test_basic_parse_with_comments(self, tmp_path):

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialectid.data import Domain
 from dialectid.errors import NumericError, ValidationError
 from dialectid.siamese import (
     Conv1d,
     Dense,
-    IVectorPair,
     SiameseArch,
     TrainConfig,
     default_arch,
-    forward,
     forward_batch,
     grad,
     init_params,
@@ -91,13 +91,19 @@ class TestForward:
         p = init_params(arch, seed=0)
         p = p.replace_arrays([np.zeros_like(w) for w in p.weights],
                              [np.zeros_like(b) for b in p.biases])
-        out = forward(p, np.arange(11.0))
-        np.testing.assert_array_equal(out, np.zeros(4))
+        out = forward_batch(p, np.arange(11.0)[None, :])
+        np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_default_arch_output_length(self):
         p = init_params(default_arch(), seed=0)
-        out = forward(p, np.zeros(400))
-        assert out.shape == (200,)
+        out = forward_batch(p, np.zeros((3, 400)))
+        assert out.shape == (3, 200)
+
+    @pytest.mark.parametrize("arch", [default_arch(), tiny_arch()], ids=["default", "tiny"])
+    def test_empty_batch_gives_empty_embedding(self, arch):
+        p = init_params(arch, seed=0)
+        out = forward_batch(p, np.empty((0, arch.input_dim)))
+        assert out.shape == (0, arch.output_dim)
 
     def test_identity_dense_layer(self):
         arch = SiameseArch(layers=(Dense(in_dim=5, out_dim=5, activation=None),),
@@ -105,12 +111,25 @@ class TestForward:
         p = init_params(arch, seed=0)
         p = p.replace_arrays([np.eye(5)], [np.zeros(5)])
         v = np.array([1.0, -2.0, 0.5, 3.0, 0.0])
-        np.testing.assert_array_equal(forward(p, v), v)
+        np.testing.assert_array_equal(forward_batch(p, v[None, :]), v[None, :])
 
     def test_dim_mismatch(self):
         p = init_params(tiny_arch(), seed=0)
         with pytest.raises(ValidationError):
-            forward(p, np.zeros(12))
+            forward_batch(p, np.zeros((1, 12)))
+        with pytest.raises(ValidationError):
+            forward_batch(p, np.zeros(11))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n1=st.integers(0, 5), n2=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_blocks_match_separate_blocks(self, n1, n2, seed):
+        # the stacked twin batch in `grad` relies on rows not mixing
+        rng = np.random.default_rng(seed)
+        p = init_params(tiny_arch(), seed=seed % 1000)
+        x1, x2 = rng.normal(size=(n1, 11)), rng.normal(size=(n2, 11))
+        both = forward_batch(p, np.concatenate([x1, x2]))
+        np.testing.assert_allclose(both[:n1], forward_batch(p, x1), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(both[n1:], forward_batch(p, x2), rtol=0, atol=1e-12)
 
 
 class TestPairDistanceLoss:
@@ -131,17 +150,14 @@ class TestPairDistanceLoss:
     def test_twin_symmetry(self):
         rng = np.random.default_rng(0)
         p = init_params(tiny_arch(), seed=0)
-        a, b = rng.normal(size=11), rng.normal(size=11)
-        assert pair_distance(forward(p, a), forward(p, b)) == pair_distance(
-            forward(p, b), forward(p, a)
-        )
+        ea, eb = forward_batch(p, rng.normal(size=(2, 11)))
+        assert pair_distance(ea, eb) == pair_distance(eb, ea)
 
     def test_loss_bounds(self):
         rng = np.random.default_rng(1)
         p = init_params(tiny_arch(), seed=1)
         for _ in range(50):
-            e1 = forward(p, rng.normal(size=11))
-            e2 = forward(p, rng.normal(size=11))
+            e1, e2 = forward_batch(p, rng.normal(size=(2, 11)))
             for y in (1, -1):
                 assert 0.0 <= pair_loss(e1, e2, y) <= 4.0
 
@@ -150,15 +166,15 @@ class TestPairDistanceLoss:
             pair_distance(np.zeros(3), np.ones(3))
 
 
-def fd_check(params, batch, step=1e-5, rtol=1e-4, afloor=1e-7):
+def fd_check(params, xa, xb, y, step=1e-5, rtol=1e-4, afloor=1e-7):
     """Central finite differences on every coordinate of every parameter."""
-    gw, gb, _ = grad(params, batch)
+    gw, gb, _ = grad(params, xa, xb, y)
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
 
     def loss_at():
         p = params.replace_arrays([w.copy() for w in weights], [b.copy() for b in biases])
-        _, _, val = grad(p, batch)
+        _, _, val = grad(p, xa, xb, y)
         return val
 
     worst = 0.0
@@ -187,8 +203,8 @@ class TestGrad:
         arch = SiameseArch(layers=(Dense(in_dim=3, out_dim=3, activation=None),),
                            input_dim=3, output_dim=3)
         p = init_params(arch, seed=0).replace_arrays([np.eye(3)], [np.zeros(3)])
-        v = np.array([1.0, 2.0, 2.0])
-        gw, gb, loss = grad(p, [IVectorPair(a=v, b=v, y=1)])
+        v = np.array([[1.0, 2.0, 2.0]])
+        gw, gb, loss = grad(p, v, v, np.array([1]))
         assert loss == pytest.approx(0.0)
         np.testing.assert_allclose(gw[0], 0.0, atol=1e-12)
         np.testing.assert_allclose(gb[0], 0.0, atol=1e-12)
@@ -196,26 +212,42 @@ class TestGrad:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         p = init_params(tiny_arch(), seed=5)
-        batch = [
-            IVectorPair(a=rng.normal(size=11), b=rng.normal(size=11), y=int(y))
-            for y in rng.choice([1, -1], size=3)
-        ]
-        worst, rtol = fd_check(p, batch)
+        y = rng.choice([1, -1], size=3)
+        ab = rng.normal(size=(3, 2, 11))  # a then b for each pair, as drawn before
+        worst, rtol = fd_check(p, ab[:, 0], ab[:, 1], y)
         assert worst < rtol, worst
 
     def test_duplicated_pair_equals_single(self):
         rng = np.random.default_rng(6)
         p = init_params(tiny_arch(), seed=6)
-        pair = IVectorPair(a=rng.normal(size=11), b=rng.normal(size=11), y=1)
-        gw1, gb1, l1 = grad(p, [pair])
-        gw2, gb2, l2 = grad(p, [pair, pair])
+        a, b, y = rng.normal(size=(1, 11)), rng.normal(size=(1, 11)), np.array([1])
+        gw1, gb1, l1 = grad(p, a, b, y)
+        gw2, gb2, l2 = grad(p, np.repeat(a, 2, axis=0), np.repeat(b, 2, axis=0),
+                            np.repeat(y, 2))
         assert l1 == pytest.approx(l2)
         for a, b in zip(gw1, gw2):
             np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_empty_batch_errors(self):
         with pytest.raises(ValidationError):
-            grad(init_params(tiny_arch(), seed=0), [])
+            grad(init_params(tiny_arch(), seed=0), np.empty((0, 11)), np.empty((0, 11)),
+                 np.empty(0))
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_label_not_plus_minus_one_errors(self, bad):
+        x = np.random.default_rng(0).normal(size=(2, 11))
+        with pytest.raises(ValidationError):
+            grad(init_params(tiny_arch(), seed=0), x, x[::-1], np.array([1, bad]))
+
+    def test_misaligned_pairs_error(self):
+        p = init_params(tiny_arch(), seed=0)
+        x = np.random.default_rng(0).normal(size=(3, 11))
+        with pytest.raises(ValidationError):
+            grad(p, x, x[:2], np.array([1, -1, 1]))
+        with pytest.raises(ValidationError):
+            grad(p, x, x, np.array([1, -1]))
+        with pytest.raises(ValidationError):
+            grad(p, x[:, :10], x[:, :10], np.array([1, -1, 1]))
 
 
 class TestSamplePairs:
@@ -226,28 +258,39 @@ class TestSamplePairs:
         return make_set(X, labels=labels)
 
     def test_all_positive(self):
-        pairs = sample_pairs(self._data(), 20, positive_fraction=1.0, seed=0)
-        assert len(pairs) == 20
-        assert all(p.y == 1 for p in pairs)
+        ia, ib, y = sample_pairs(self._data(), 20, positive_fraction=1.0, seed=0)
+        assert len(ia) == len(ib) == len(y) == 20
+        assert np.all(y == 1)
 
     def test_exact_composition(self):
-        pairs = sample_pairs(self._data(), 1000, positive_fraction=0.5, seed=0)
-        assert sum(p.y == 1 for p in pairs) == 500
+        _, _, y = sample_pairs(self._data(), 1000, positive_fraction=0.5, seed=0)
+        np.testing.assert_array_equal(y, [1] * 500 + [-1] * 500)
 
     def test_deterministic(self):
         p1 = sample_pairs(self._data(), 50, seed=3)
         p2 = sample_pairs(self._data(), 50, seed=3)
         for a, b in zip(p1, p2):
-            np.testing.assert_array_equal(a.a, b.a)
-            np.testing.assert_array_equal(a.b, b.b)
-            assert a.y == b.y
+            np.testing.assert_array_equal(a, b)
 
     def test_positive_pairs_share_dialect(self):
         data = self._data()
-        vec_label = {tuple(data.vectors[i]): data.utterances[i].label for i in range(len(data))}
-        for p in sample_pairs(data, 60, positive_fraction=0.5, seed=1):
-            same = vec_label[tuple(p.a)] == vec_label[tuple(p.b)]
-            assert same == (p.y == 1)
+        labels = np.array([u.label for u in data.utterances])
+        ia, ib, y = sample_pairs(data, 60, positive_fraction=0.5, seed=1)
+        np.testing.assert_array_equal(labels[ia] == labels[ib], y == 1)
+        assert np.all(ia != ib)
+
+    def test_pinned_draws(self):
+        # mixed TRN/DEV rows with one unlabeled row (index 2), which no pair
+        # may use; the indices are the draws this seed has always given
+        X = np.arange(11 * 3, dtype=float).reshape(11, 3)
+        trn = make_set(X[:6], labels=["A", "B", None, "A", "C", "B"], domain=Domain.TRN,
+                       prefix="t")
+        dev = make_set(X[6:], labels=["C", "A", "B", "C", "A"], domain=Domain.DEV, prefix="d")
+        ia, ib, y = sample_pairs(trn.concat(dev), 9, positive_fraction=0.5, seed=7,
+                                 dev_emphasis=1.5)
+        np.testing.assert_array_equal(ia, [8, 9, 6, 0, 9, 6, 5, 7, 10])
+        np.testing.assert_array_equal(ib, [5, 4, 9, 10, 7, 5, 7, 8, 9])
+        np.testing.assert_array_equal(y, [1, 1, 1, 1, -1, -1, -1, -1, -1])
 
     def test_singleton_dialect_blocks_positives(self):
         X = np.eye(3)
@@ -255,8 +298,8 @@ class TestSamplePairs:
         with pytest.raises(ValidationError):
             sample_pairs(data, 10, positive_fraction=0.5, seed=0)
         # but a purely negative draw is fine
-        pairs = sample_pairs(data, 10, positive_fraction=0.0, seed=0)
-        assert all(p.y == -1 for p in pairs)
+        _, _, y = sample_pairs(data, 10, positive_fraction=0.0, seed=0)
+        assert np.all(y == -1)
 
     def test_dev_emphasis_shifts_sampling(self):
         rng = np.random.default_rng(2)
@@ -264,12 +307,11 @@ class TestSamplePairs:
         trn = make_set(X[:20], labels=["A"] * 10 + ["B"] * 10, domain=Domain.TRN, prefix="t")
         dev = make_set(X[20:], labels=["A"] * 10 + ["B"] * 10, domain=Domain.DEV, prefix="d")
         data = trn.concat(dev)
-        dev_rows = {tuple(r) for r in X[20:]}
 
         def dev_rate(emphasis):
-            pairs = sample_pairs(data, 400, seed=0, dev_emphasis=emphasis)
-            hits = sum((tuple(p.a) in dev_rows) + (tuple(p.b) in dev_rows) for p in pairs)
-            return hits / (2 * len(pairs))
+            ia, ib, _ = sample_pairs(data, 400, seed=0, dev_emphasis=emphasis)
+            rows = np.concatenate([ia, ib])
+            return float((rows >= 20).mean())  # rows 20 and up are DEV
 
         assert dev_rate(0.0) == pytest.approx(0.5, abs=0.06)
         assert dev_rate(3.0) > dev_rate(0.0) + 0.15
@@ -293,10 +335,10 @@ class TestTrain:
                           momentum=0.9, seed=4)
         out, hist = train(p, ds.trn, cfg)
         # reproduce by hand: one batch of all 8 pairs in shuffled order
-        pairs = sample_pairs(ds.trn, 8, positive_fraction=0.5, seed=4, dev_emphasis=0.0)
+        ia, ib, y = sample_pairs(ds.trn, 8, positive_fraction=0.5, seed=4, dev_emphasis=0.0)
         order = np.random.default_rng(5).permutation(8)  # seed+1 inside train
-        chunk = [pairs[k] for k in order]
-        gw, gb, loss = grad(p, chunk)
+        X = ds.trn.vectors
+        gw, gb, loss = grad(p, X[ia[order]], X[ib[order]], y[order])
         assert hist == [pytest.approx(loss)]
         for w, g, got in zip(p.weights, gw, out.weights):
             np.testing.assert_allclose(got, w - 0.05 * g, atol=1e-15)

@@ -106,9 +106,11 @@ class TestSvmDecision:
             svm_decision(model, np.zeros(4))
 
     def test_scores_feed_classify_with_tie_rule(self):
-        from dialectid.dialect_model import classify
+        from dialectid.data import ScoreTable
+        from dialectid.dialect_model import classify_rows
 
         model = LinearSvmModel(labels=("A", "B", "C"), weights=np.zeros((3, 2)),
                                biases=np.array([0.5, 0.5, 0.1]))
+        table = ScoreTable("svm", model.labels, ("u1",), svm_decision(model, np.zeros((1, 2))))
         # exact tie between A and B resolves to the earlier label
-        assert classify(svm_decision(model, np.zeros(2)), model.labels) == "A"
+        assert classify_rows(table) == {"u1": "A"}
