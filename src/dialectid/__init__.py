@@ -11,7 +11,6 @@ from .data import (
     DEFAULT_LABELS,
     Domain,
     IVectorSet,
-    LabelSet,
     ScoreTable,
     Utterance,
     validate_dataset,
@@ -24,7 +23,6 @@ __all__ = [
     "DEFAULT_LABELS",
     "Domain",
     "IVectorSet",
-    "LabelSet",
     "ScoreTable",
     "Utterance",
     "validate_dataset",

@@ -91,8 +91,9 @@ class Backend:
         if recipe == "lda_cds":
             projection = lda.fit_lda(pooled())
         elif recipe == "siam_cds":
-            arch = siamese.default_arch(input_dim=trn.dim,
-                                        output_dim=flags["siam_out_dim"] or max(2, trn.dim // 2))
+            out_dim = flags["siam_out_dim"]
+            arch = siamese.default_arch(
+                input_dim=trn.dim, output_dim=max(2, trn.dim // 2) if out_dim is None else out_dim)
             config = siamese.TrainConfig(
                 epochs=flags["siam_epochs"], n_pairs=flags["siam_pairs"],
                 dev_emphasis=flags["dev_emphasis"], seed=flags["seed"],

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import ScoreTable
-from .dialect_model import classify_rows
 from .errors import NumericError, ValidationError
 
 MIN_SLOPE = 1e-12
@@ -102,11 +101,11 @@ def apply_calibration(params: CalibrationParams, table: ScoreTable) -> ScoreTabl
                       utt_ids=table.utt_ids, scores=mapped, calibrated=True)
 
 
-def fuse(tables: Sequence[ScoreTable], weights: FusionWeights) -> ScoreTable:
-    """Cell-wise weighted sum of calibrated tables, aligned by utterance id.
+def _aligned(tables: Sequence[ScoreTable]):
+    """Check that calibrated tables can be fused and stack them.
 
-    All tables must be calibrated and cover the same utterances and labels;
-    weights are matched to tables by system id.
+    Returns (system ids, utterance ids, labels, (S, N, K) scores) with the
+    tables in system-id order and every table's rows in utterance-id order.
     """
     if not tables:
         raise ValidationError("fusion needs at least one table")
@@ -117,31 +116,47 @@ def fuse(tables: Sequence[ScoreTable], weights: FusionWeights) -> ScoreTable:
         if t.system_id in by_id:
             raise ValidationError("duplicate table for system %r" % t.system_id)
         by_id[t.system_id] = t
-    want = {s for s, _ in weights.entries}
-    if want != set(by_id):
-        raise ValidationError("weights cover %r but tables are %r"
-                              % (sorted(want), sorted(by_id)))
-
-    first = by_id[weights.entries[0][0]]
-    ref_ids = tuple(sorted(first.utt_ids))
-    total = np.zeros((len(ref_ids), len(first.labels)))
-    # accumulate in system-id order so permuting the inputs cannot change
-    # even the floating-point rounding of the result
-    for system_id, w in sorted(weights.entries):
+    ids = tuple(sorted(by_id))
+    first = by_id[ids[0]]
+    utt_ids = tuple(sorted(first.utt_ids))
+    stack = []
+    for system_id in ids:
         t = by_id[system_id]
         if t.labels != first.labels:
             raise ValidationError("label mismatch between %r and %r"
                                   % (first.system_id, t.system_id))
-        if set(t.utt_ids) != set(ref_ids):
+        order = sorted(range(len(t)), key=t.utt_ids.__getitem__)
+        if tuple(t.utt_ids[i] for i in order) != utt_ids:
             raise ValidationError("utterance mismatch between %r and %r"
                                   % (first.system_id, t.system_id))
-        rows = t.row_index()
-        perm = np.array([rows[u] for u in ref_ids])
-        total += w * t.scores[perm]
-    np.clip(total, 0.0, 1.0, out=total)
-    fused_id = "fusion(%s)" % "+".join(sorted(by_id))
-    return ScoreTable(system_id=fused_id, labels=first.labels, utt_ids=ref_ids,
-                      scores=total, calibrated=True)
+        stack.append(t.scores[order])
+    return ids, utt_ids, first.labels, np.stack(stack)
+
+
+def _combine(stack: np.ndarray, w) -> np.ndarray:
+    """sum_s w[s] * stack[s], accumulated in system-id order, clipped to [0, 1].
+
+    The fixed order means permuting the inputs cannot change even the
+    floating-point rounding of the result.
+    """
+    total = np.zeros(stack.shape[1:])
+    for w_s, scores in zip(w, stack):
+        total += w_s * scores
+    return np.clip(total, 0.0, 1.0, out=total)
+
+
+def fuse(tables: Sequence[ScoreTable], weights: FusionWeights) -> ScoreTable:
+    """Cell-wise weighted sum of calibrated tables, aligned by utterance id.
+
+    All tables must be calibrated and cover the same utterances and labels;
+    weights are matched to tables by system id.
+    """
+    ids, utt_ids, labels, stack = _aligned(tables)
+    by_id = dict(weights.entries)
+    if set(by_id) != set(ids):
+        raise ValidationError("weights cover %r but tables are %r" % (sorted(by_id), list(ids)))
+    return ScoreTable(system_id="fusion(%s)" % "+".join(ids), labels=labels, utt_ids=utt_ids,
+                      scores=_combine(stack, [by_id[s] for s in ids]), calibrated=True)
 
 
 def fit_fusion_weights(
@@ -159,18 +174,18 @@ def fit_fusion_weights(
     steps = int(round(1.0 / resolution))
     if abs(steps * resolution - 1.0) > 1e-9 or steps < 1:
         raise ValidationError("resolution must divide 1 evenly")
-    ids = sorted(t.system_id for t in tables)
-    k = len(ids)
+    ids, utt_ids, labels, stack = _aligned(tables)
+    # each row's true label column; -1 (never predicted) when unlabeled or unknown
+    column = {label: k for k, label in enumerate(labels)}
+    truth_col = np.array([column.get(truth.get(u), -1) for u in utt_ids], dtype=np.int64)
     best = None
-    for combo in combinations_with_replacement(range(k), steps):
-        counts = [0] * k
+    for combo in combinations_with_replacement(range(len(ids)), steps):
+        counts = [0] * len(ids)
         for c in combo:
             counts[c] += 1
         w = tuple(c / steps for c in counts)
-        fused = fuse(tables, FusionWeights(tuple(zip(ids, w))))
-        pred = classify_rows(fused)
-        acc = sum(truth.get(utt) == lab for utt, lab in pred.items()) / len(fused.utt_ids)
-        key = (-acc, w)
+        correct = int(np.count_nonzero(_combine(stack, w).argmax(axis=1) == truth_col))
+        key = (-correct, w)
         if best is None or key < best[0]:
             best = (key, w)
     return FusionWeights(tuple(zip(ids, best[1])))

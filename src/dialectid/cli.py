@@ -143,7 +143,8 @@ def cmd_calibrate_fuse(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.save_score_table(fused, out_dir / "fused.scores")
-    report = _report_for_table(fused, truth)
+    # calibration (and the fusion weights) were fitted on these labels
+    report = _report_for_table(fused, truth) + "fitted_on=%s\n" % fit_domain
     (out_dir / "report.txt").write_text(report, encoding="utf-8")
     sys.stdout.write(report)
     print("wrote %s and %s" % (out_dir / "fused.scores", out_dir / "report.txt"))

@@ -33,34 +33,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LabelSet:
-    """Ordered, duplicate-free set of dialect labels, fixed per experiment."""
-
-    labels: tuple[str, ...] = DEFAULT_LABELS
-
-    def __post_init__(self):
-        if not self.labels:
-            raise ValidationError("label set must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValidationError("label set contains duplicates: %r" % (self.labels,))
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValidationError("unknown label %r (label set %r)" % (label, self.labels))
-
-    def __len__(self):
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __contains__(self, label):
-        return label in self.labels
-
-
-@dataclass(frozen=True)
 class Utterance:
     """One utterance: unique id, split membership, optional dialect label."""
 
@@ -109,10 +81,6 @@ class IVectorSet:
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(u.id for u in self.utterances)
-
-    def label_array(self) -> np.ndarray:
-        """Labels as an object array; None entries stay None."""
-        return np.array([u.label for u in self.utterances], dtype=object)
 
     def with_vectors(self, vectors: np.ndarray) -> "IVectorSet":
         """Same utterances, new vectors (dimension may change)."""
@@ -205,6 +173,3 @@ class ScoreTable:
 
     def __len__(self):
         return len(self.utt_ids)
-
-    def row_index(self) -> dict[str, int]:
-        return {u: i for i, u in enumerate(self.utt_ids)}

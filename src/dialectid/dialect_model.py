@@ -1,4 +1,4 @@
-"""Dialect mean models, interpolation, cosine scoring and S-norm.
+"""Dialect mean models, interpolation, cosine scoring and the argmax rule.
 
 A dialect model is the unit-normalized mean of the (already whitened and
 length-normalized) vectors of one dialect. Two model sets fit on an
@@ -120,44 +120,6 @@ def cds_score(models: DialectModelSet, v: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise NumericError("cannot score a zero vector")
     return (v / norms) @ models.models.T
-
-
-def snorm_scores(
-    raw: ScoreTable,
-    cohort_scores_per_model: Sequence[np.ndarray],
-    cohort_scores_per_test: Sequence[np.ndarray],
-) -> ScoreTable:
-    """Symmetric score normalization.
-
-    s' = 0.5 * ((s - mu_model)/sigma_model + (s - mu_test)/sigma_test),
-    with per-model cohort statistics aligned to the table's labels and
-    per-test statistics aligned to its rows.
-    """
-    if len(cohort_scores_per_model) != len(raw.labels):
-        raise ValidationError("need one cohort score list per model/label")
-    if len(cohort_scores_per_test) != len(raw.utt_ids):
-        raise ValidationError("need one cohort score list per test utterance")
-
-    def stats(scores):
-        arr = np.asarray(scores, dtype=np.float64)
-        mu = float(arr.mean())
-        sigma = float(arr.std())
-        if sigma == 0.0:
-            raise NumericError("degenerate cohort: zero standard deviation")
-        return mu, sigma
-
-    # (mu, sigma) rows: one per model column, one per test row
-    model = np.array([stats(c) for c in cohort_scores_per_model]).reshape(-1, 2)
-    test = np.array([stats(c) for c in cohort_scores_per_test]).reshape(-1, 2)
-    s = raw.scores
-    out = 0.5 * ((s - model[:, 0]) / model[:, 1] + (s - test[:, :1]) / test[:, 1:])
-    return ScoreTable(
-        system_id=raw.system_id + "+snorm",
-        labels=raw.labels,
-        utt_ids=raw.utt_ids,
-        scores=out,
-        calibrated=False,
-    )
 
 
 def classify_rows(table: ScoreTable) -> dict[str, str]:

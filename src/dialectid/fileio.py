@@ -8,7 +8,6 @@ runs produce byte-identical files. Formats:
 * score table  — header ``system_id<TAB>label1<TAB>...``, then one
                  ``utt_id<TAB>s1<TAB>...`` row per utterance;
 * transcripts  — ``utt_id<TAB>token token ...`` (UTF-8);
-* phone files  — ``utt_id<TAB>phone:duration phone:duration ...``;
 * labels       — ``utt_id<TAB>label`` rows, or any vector set file;
 * configs      — ``key=value`` lines with ``#`` comments, unknown keys are
                  rejected by the consumer;
@@ -110,7 +109,7 @@ def save_score_table(table: ScoreTable, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_score_table(path, calibrated: bool = False) -> ScoreTable:
+def load_score_table(path) -> ScoreTable:
     lines = _read_text(path).splitlines()
     if not lines:
         raise FormatError("%s: empty score file" % path)
@@ -133,11 +132,11 @@ def load_score_table(path, calibrated: bool = False) -> ScoreTable:
             raise FormatError("%s:%d: unparseable score" % (path, ln))
     scores = np.array(rows) if rows else np.empty((0, len(labels)))
     return ScoreTable(system_id=system_id, labels=labels, utt_ids=tuple(utt_ids),
-                      scores=scores, calibrated=calibrated)
+                      scores=scores)
 
 
 # ---------------------------------------------------------------------------
-# transcripts / phones / labels
+# transcripts / labels
 # ---------------------------------------------------------------------------
 
 def load_transcripts(path, source: str = "word"):
@@ -156,37 +155,6 @@ def load_transcripts(path, source: str = "word"):
 
 def save_transcripts(transcripts, path) -> None:
     lines = ["%s\t%s" % (t.utt_id, " ".join(t.tokens)) for t in transcripts]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_phone_sequences(path):
-    from .text_features import PhoneSequence
-
-    out = []
-    for ln, line in enumerate(_read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError("%s:%d: expected utt_id<TAB>phone:dur ..." % (path, ln))
-        phones = []
-        for item in parts[1].split():
-            if ":" not in item:
-                raise FormatError("%s:%d: bad phone entry %r" % (path, ln, item))
-            sym, _, dur = item.rpartition(":")
-            try:
-                phones.append((sym, float(dur)))
-            except ValueError:
-                raise FormatError("%s:%d: bad duration in %r" % (path, ln, item))
-        out.append(PhoneSequence(utt_id=parts[0], phones=tuple(phones)))
-    return out
-
-
-def save_phone_sequences(sequences, path) -> None:
-    lines = [
-        "%s\t%s" % (s.utt_id, " ".join("%s:%s" % (p, _fmt(d)) for p, d in s.phones))
-        for s in sequences
-    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

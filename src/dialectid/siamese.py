@@ -115,6 +115,8 @@ def _param_shapes(layer: Layer) -> tuple[tuple[int, ...], tuple[int]]:
 
 def default_arch(input_dim: int = 400, output_dim: int = 200) -> SiameseArch:
     """Two tanh conv layers (kernel 8, stride 2, channels 1->4->8) + linear dense."""
+    if output_dim < 1:
+        raise ValidationError("embedding dim must be >= 1, got %d" % output_dim)
     t1 = (input_dim - 8) // 2 + 1
     t2 = (t1 - 8) // 2 + 1
     if t2 < 1:
@@ -197,20 +199,6 @@ def forward_batch(params: SiameseParams, X: np.ndarray) -> np.ndarray:
         raise ValidationError("expected (n, %d) input, got %r" % (params.arch.input_dim, X.shape))
     out, _ = _forward_batch(params, X)
     return out
-
-
-def pair_distance(e1: np.ndarray, e2: np.ndarray) -> float:
-    """Cosine similarity between two embeddings, in [-1, 1]."""
-    n1 = np.linalg.norm(e1)
-    n2 = np.linalg.norm(e2)
-    if n1 < ZERO_EMBEDDING_EPS or n2 < ZERO_EMBEDDING_EPS:
-        raise NumericError("zero embedding has no direction to score")
-    return float(np.dot(e1, e2) / (n1 * n2))
-
-
-def pair_loss(e1: np.ndarray, e2: np.ndarray, y: int) -> float:
-    """(y - cos(e1, e2))^2; in [0, 4] since cos is in [-1, 1] and y is +-1."""
-    return float((y - pair_distance(e1, e2)) ** 2)
 
 
 def _backward(params: SiameseParams, caches, d_embed):
@@ -306,8 +294,9 @@ def sample_pairs(
         raise ValidationError("n_pairs must be nonnegative")
     if not 0.0 <= positive_fraction <= 1.0:
         raise ValidationError("positive_fraction must lie in [0, 1]")
-    if dev_emphasis < 0.0:
-        raise ValidationError("dev_emphasis must be nonnegative")
+    if not (math.isfinite(dev_emphasis) and dev_emphasis >= 0.0):
+        raise ValidationError("dev_emphasis must be finite and nonnegative, got %r"
+                              % (dev_emphasis,))
 
     labeled = np.flatnonzero([u.label is not None for u in data.utterances])
     if not labeled.size:

@@ -35,6 +35,8 @@ class SynthConfig:
             raise ValidationError("per-dialect counts must be >= 1")
         if min(self.dialect_std, self.within_std, self.channel_std) < 0:
             raise ValidationError("spread parameters must be nonnegative")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0, got %d" % self.seed)
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,10 +33,6 @@ class Transcript:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         if self.source not in SOURCES:
             raise ValidationError("transcript source must be one of %r" % (SOURCES,))
-
-    @property
-    def empty(self) -> bool:
-        return not self.tokens
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,6 @@ class FeatureVector:
     indices: np.ndarray
     values: np.ndarray
     dim: int
-    norm: str = "raw"
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -91,10 +86,6 @@ class FeatureVector:
             raise ValidationError("feature index out of range for dim %d" % self.dim)
         if val.size and not np.all(np.isfinite(val)):
             raise ValidationError("feature values must be finite")
-
-    @property
-    def empty(self) -> bool:
-        return self.indices.size == 0
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dim)
@@ -168,27 +159,21 @@ def build_vocab(
     return NgramVocab(n=n, mode=mode, index={g: i for i, g in enumerate(kept)})
 
 
-def vectorize(counts: Mapping, vocab: NgramVocab, norm: str = "l2") -> FeatureVector:
-    """Map counts onto the vocab; out-of-vocab n-grams drop silently.
+def vectorize(counts: Mapping, vocab: NgramVocab) -> FeatureVector:
+    """Map counts onto the vocab and l2-normalize; out-of-vocab n-grams drop silently.
 
-    norm is one of raw, l1, l2 (default l2). An all-OOV input produces an
-    empty vector rather than an error.
+    An all-OOV input produces an empty vector rather than an error.
     """
-    if norm not in ("raw", "l1", "l2"):
-        raise ValidationError("norm must be raw, l1 or l2")
     items = sorted(
         (vocab.index[g], float(c)) for g, c in counts.items() if g in vocab.index and c
     )
     if not items:
         return FeatureVector(indices=np.array([], dtype=np.int64),
-                             values=np.array([]), dim=len(vocab), norm=norm)
+                             values=np.array([]), dim=len(vocab))
     idx = np.array([i for i, _ in items], dtype=np.int64)
     val = np.array([v for _, v in items])
-    if norm == "l1":
-        val = val / np.abs(val).sum()
-    elif norm == "l2":
-        val = val / np.linalg.norm(val)
-    return FeatureVector(indices=idx, values=val, dim=len(vocab), norm=norm)
+    val = val / np.linalg.norm(val)
+    return FeatureVector(indices=idx, values=val, dim=len(vocab))
 
 
 def phone_duration_stats(seq: PhoneSequence, inventory: Sequence[str]) -> FeatureVector:
@@ -219,15 +204,13 @@ def phone_duration_stats(seq: PhoneSequence, inventory: Sequence[str]) -> Featur
         dense[base + 1] = sum(ds) / len(ds)
         dense[base + 2] = len(ds) / n
     idx = np.flatnonzero(dense)
-    return FeatureVector(indices=idx, values=dense[idx], dim=dense.size, norm="raw")
+    return FeatureVector(indices=idx, values=dense[idx], dim=dense.size)
 
 
-def featurize_transcripts(
-    transcripts: Sequence[Transcript], vocab: NgramVocab, norm: str = "l2"
-) -> np.ndarray:
-    """Dense (n_docs, V) matrix of vectorized n-gram counts; rows follow input order."""
+def featurize_transcripts(transcripts: Sequence[Transcript], vocab: NgramVocab) -> np.ndarray:
+    """Dense (n_docs, V) matrix of l2-normalized n-gram counts; rows follow input order."""
     out = np.zeros((len(transcripts), len(vocab)))
     for i, t in enumerate(transcripts):
-        fv = vectorize(count_ngrams(t.tokens, vocab.n), vocab, norm=norm)
+        fv = vectorize(count_ngrams(t.tokens, vocab.n), vocab)
         out[i, fv.indices] = fv.values
     return out

@@ -120,7 +120,6 @@ def fit_recursive_chain(
     matched: IVectorSet,
     depth: int = 1,
     ridge: Optional[float] = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> WhiteningChain:
     """Fit a recursive whitening chain.
 
@@ -129,8 +128,8 @@ def fit_recursive_chain(
     normalization), so the subset that matches the evaluation domain
     drives the residual cleanup.
     """
-    if not 1 <= depth <= max_depth:
-        raise ValidationError("depth must be in 1..%d, got %d" % (max_depth, depth))
+    if not 1 <= depth <= DEFAULT_MAX_DEPTH:
+        raise ValidationError("depth must be in 1..%d, got %d" % (DEFAULT_MAX_DEPTH, depth))
     if len(primary) == 0 or len(matched) == 0:
         raise ValidationError("both data subsets must be non-empty")
     if primary.dim != matched.dim:

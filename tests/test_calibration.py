@@ -1,5 +1,9 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialectid.calibration import (
     CalibrationParams,
@@ -10,6 +14,7 @@ from dialectid.calibration import (
     fuse,
 )
 from dialectid.data import ScoreTable
+from dialectid.dialect_model import classify_rows
 from dialectid.errors import NumericError, ValidationError
 
 LABELS = ("A", "B", "C")
@@ -189,6 +194,46 @@ class TestFitFusionWeights:
         w = fit_fusion_weights([good, noise], truth, resolution=0.5)
         weights = dict(w.entries)
         assert weights["good"] >= 0.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_point_fuse_oracle(self, data):
+        # scores on a 0.25 grid make ties common; truth has missing and unknown labels
+        labels = LABELS[:data.draw(st.integers(2, 3), label="n_labels")]
+        utts = ["u%d" % i for i in range(data.draw(st.integers(1, 6), label="n_rows"))]
+        cell = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+        row = st.lists(cell, min_size=len(labels), max_size=len(labels))
+        tables = [table(data.draw(st.lists(row, min_size=len(utts), max_size=len(utts))),
+                        system_id="s%d" % k, utts=data.draw(st.permutations(utts)),
+                        calibrated=True, labels=labels)
+                  for k in range(data.draw(st.integers(1, 3), label="n_systems"))]
+        truth = {}
+        for u in utts:
+            lab = data.draw(st.sampled_from(labels + ("ZZZ", None)))
+            if lab is not None:
+                truth[u] = lab
+        resolution = data.draw(st.sampled_from([0.5, 0.25, 0.1]), label="resolution")
+
+        # oracle: fuse and count at every grid point, first best key wins
+        ids = sorted(t.system_id for t in tables)
+        steps = int(round(1.0 / resolution))
+        best = None
+        for combo in combinations_with_replacement(range(len(ids)), steps):
+            w = tuple(combo.count(k) / steps for k in range(len(ids)))
+            fused = fuse(tables, FusionWeights(tuple(zip(ids, w))))
+            pred = classify_rows(fused)
+            acc = sum(truth.get(u) == lab for u, lab in pred.items()) / len(fused.utt_ids)
+            if best is None or (-acc, w) < best[0]:
+                best = ((-acc, w), w)
+        shuffled = data.draw(st.permutations(tables), label="input order")
+        fitted = fit_fusion_weights(shuffled, truth, resolution=resolution)
+        assert fitted.entries == tuple(zip(ids, best[1]))
+
+        raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(ids),
+                                          max_size=len(ids)), label="weights"))
+        weights = FusionWeights(tuple(zip(ids, raw / raw.sum())))
+        assert (fuse(shuffled, weights).scores.tobytes()
+                == fuse(tables, weights).scores.tobytes())
 
 
 class TestFusionTrendOnSyntheticSystems:

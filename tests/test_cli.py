@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dialectid.cli import main
-from dialectid.data import Domain
+from dialectid.data import Domain, ScoreTable
 from dialectid.fileio import load_ivector_set, load_labels, load_score_table
 from dialectid.synth import SynthConfig, generate
 
@@ -186,7 +186,9 @@ class TestCalibrateFuseAndEvaluate:
                    "--out-dir", fused_dir) == 0
         text = capsys.readouterr().out
         assert "accuracy=" in text
-        fused = load_score_table(fused_dir / "fused.scores", calibrated=True)
+        loaded = load_score_table(fused_dir / "fused.scores")
+        fused = ScoreTable(loaded.system_id, loaded.labels, loaded.utt_ids, loaded.scores,
+                           calibrated=True)
         assert fused.scores.min() >= 0.0 and fused.scores.max() <= 1.0
         # single-system fusion must not change the decisions
         raw = load_score_table(scored)
@@ -209,6 +211,13 @@ class TestCalibrateFuseAndEvaluate:
         assert run("calibrate-fuse", "--scores", scored, "--labels",
                    data_dir / "tst.ivec", "--fit-weights",
                    "--out-dir", tmp_path / "f") == 0
+
+    def test_report_names_the_fit_labels(self, data_dir, tmp_path, scored, capsys):
+        assert run("calibrate-fuse", "--scores", scored, "--labels",
+                   data_dir / "tst.ivec", "--fit-weights", "--out-dir", tmp_path / "f") == 0
+        report = (tmp_path / "f" / "report.txt").read_text()
+        assert report.splitlines()[-1] == "fitted_on=tst.ivec"
+        assert report in capsys.readouterr().out
 
     def test_evaluate_report(self, data_dir, tmp_path, scored, capsys):
         assert run("evaluate", "--scores", scored, "--labels",
@@ -339,3 +348,30 @@ class TestFusionFlags:
                    "--out-dir", tmp_path / "f", *flags) == 2
         assert only_stderr_line(capsys).startswith("validation error:")
         assert not (tmp_path / "f").exists()
+
+
+SIAM_TRAIN = ("train", "--recipe", "siam_cds", "--siam-epochs", 1, "--siam-pairs", 20)
+
+
+class TestOutOfRangeFlagValues:
+    @pytest.mark.parametrize("argv", [
+        SIAM_TRAIN + ("--siam-out-dim", -1),
+        SIAM_TRAIN + ("--siam-out-dim", 0),
+        SIAM_TRAIN + ("--use-dev", "--dev-emphasis", "nan"),
+        SIAM_TRAIN + ("--use-dev", "--dev-emphasis", "inf"),
+        ("synth", "--seed", -1),
+        ("synth", "--config", "negative-seed.cfg"),
+    ], ids=["siam-out-dim-negative", "siam-out-dim-zero", "dev-emphasis-nan",
+            "dev-emphasis-inf", "synth-seed-flag", "synth-seed-config"])
+    def test_exits_2_with_one_line(self, tiny_data, tmp_path, capsys, argv):
+        (tmp_path / "negative-seed.cfg").write_text("dim=8\nseed=-1\n")
+        argv = [tmp_path / a if a == "negative-seed.cfg" else a for a in argv]
+        out = tmp_path / "out"
+        if argv[0] == "train":
+            argv += ["--data-dir", tiny_data, "--model-dir", out]
+        else:
+            argv += ["--out-dir", out]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert only_stderr_line(capsys).startswith("validation error:")
+        assert not out.exists()

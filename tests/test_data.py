@@ -5,7 +5,6 @@ from dialectid.data import (
     DEFAULT_LABELS,
     Domain,
     IVectorSet,
-    LabelSet,
     ScoreTable,
     Utterance,
     validate_dataset,
@@ -13,24 +12,6 @@ from dialectid.data import (
 from dialectid.errors import ValidationError
 
 from helpers import make_set
-
-
-class TestLabelSet:
-    def test_default_five(self):
-        ls = LabelSet()
-        assert tuple(ls) == DEFAULT_LABELS
-        assert len(ls) == 5
-        assert ls.index("GLF") == 2
-
-    def test_rejects_duplicates_and_empty(self):
-        with pytest.raises(ValidationError):
-            LabelSet(("A", "A"))
-        with pytest.raises(ValidationError):
-            LabelSet(())
-
-    def test_unknown_label(self):
-        with pytest.raises(ValidationError):
-            LabelSet(("A", "B")).index("C")
 
 
 class TestIVectorSet:

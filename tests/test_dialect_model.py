@@ -10,7 +10,6 @@ from dialectid.dialect_model import (
     classify_rows,
     fit_dialect_means,
     interpolate_models,
-    snorm_scores,
 )
 from dialectid.errors import NumericError, ValidationError
 from dialectid.synth import SynthConfig, generate
@@ -133,50 +132,6 @@ class TestCdsScore:
         )
         table = ScoreTable("sys", m.labels, m.labels, cds_score(m, m.models))
         assert classify_rows(table) == {lab: lab for lab in m.labels}
-
-
-class TestSnorm:
-    def test_centered_score_maps_to_zero(self):
-        raw = ScoreTable("sys", ("A",), ("u1",), np.array([[0.4]]))
-        out = snorm_scores(raw, [np.array([0.4, 0.2, 0.6])], [np.array([0.4, 0.0, 0.8])])
-        assert out.scores[0, 0] == pytest.approx(0.0)
-
-    def test_identity_cohort(self):
-        # cohorts with mean 0, std 1 leave the score unchanged
-        raw = ScoreTable("sys", ("A",), ("u1",), np.array([[0.7]]))
-        cohort = np.array([1.0, -1.0])  # mean 0, std 1
-        out = snorm_scores(raw, [cohort], [cohort])
-        assert out.scores[0, 0] == pytest.approx(0.7)
-
-    def test_hand_built_cohort(self):
-        raw = ScoreTable("sys", ("A",), ("u1",), np.array([[2.0]]))
-        model_cohort = np.array([1.0, 2.0, 3.0])  # mean 2, std sqrt(2/3)
-        test_cohort = np.array([0.0, 2.0, 4.0])  # mean 2, std sqrt(8/3)
-        out = snorm_scores(raw, [model_cohort], [test_cohort])
-        expect = 0.5 * ((2.0 - 2.0) / np.sqrt(2 / 3) + (2.0 - 2.0) / np.sqrt(8 / 3))
-        assert out.scores[0, 0] == pytest.approx(expect)
-        raw2 = ScoreTable("sys", ("A",), ("u1",), np.array([[3.0]]))
-        out2 = snorm_scores(raw2, [model_cohort], [test_cohort])
-        expect2 = 0.5 * (1.0 / np.sqrt(2 / 3) + 1.0 / np.sqrt(8 / 3))
-        assert out2.scores[0, 0] == pytest.approx(expect2)
-
-    def test_matches_per_cell_formula_bitwise(self):
-        rng = np.random.default_rng(0)
-        raw = ScoreTable("sys", ("A", "B"), ("u1", "u2", "u3"), rng.normal(size=(3, 2)))
-        per_model = [rng.normal(size=5) for _ in range(2)]
-        per_test = [rng.normal(size=4) for _ in range(3)]
-        out = snorm_scores(raw, per_model, per_test)
-        for i, test in enumerate(per_test):
-            for j, model in enumerate(per_model):
-                s = raw.scores[i, j]
-                want = 0.5 * ((s - float(model.mean())) / float(model.std())
-                              + (s - float(test.mean())) / float(test.std()))
-                assert out.scores[i, j] == want
-
-    def test_degenerate_cohort_errors(self):
-        raw = ScoreTable("sys", ("A",), ("u1",), np.array([[0.4]]))
-        with pytest.raises(NumericError):
-            snorm_scores(raw, [np.array([0.5, 0.5])], [np.array([0.1, 0.3])])
 
 
 def _one_row(scores, labels):

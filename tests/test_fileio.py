@@ -8,14 +8,12 @@ from dialectid.fileio import (
     load_artifact,
     load_ivector_set,
     load_labels,
-    load_phone_sequences,
     load_score_table,
     load_transcripts,
     parse_config,
     read_fingerprint,
     save_artifact,
     save_ivector_set,
-    save_phone_sequences,
     save_score_table,
     save_transcripts,
 )
@@ -90,20 +88,6 @@ class TestTranscriptFormats:
         back = load_transcripts(path)
         assert back[0].tokens == ("ab", "<UNK>", "cd")
         assert back[1].utt_id == "u2"
-
-    def test_phones_round_trip(self, tmp_path):
-        seqs = [PhoneSequence("u1", (("aa", 0.25), ("b", 0.5)))]
-        path = tmp_path / "phones.tsv"
-        save_phone_sequences(seqs, path)
-        back = load_phone_sequences(path)
-        assert back[0].phones == (("aa", 0.25), ("b", 0.5))
-
-    def test_bad_phone_entry(self, tmp_path):
-        p = tmp_path / "bad.tsv"
-        p.write_text("u1\taa\n")
-        with pytest.raises(FormatError):
-            load_phone_sequences(p)
-
 
 class TestLabels:
     def test_tsv_labels(self, tmp_path):

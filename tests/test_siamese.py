@@ -14,8 +14,6 @@ from dialectid.siamese import (
     forward_batch,
     grad,
     init_params,
-    pair_distance,
-    pair_loss,
     sample_pairs,
     train,
 )
@@ -34,6 +32,12 @@ def tiny_arch():
         input_dim=11,
         output_dim=4,
     )
+
+
+def identity_params(d):
+    arch = SiameseArch(layers=(Dense(in_dim=d, out_dim=d, activation=None),),
+                       input_dim=d, output_dim=d)
+    return init_params(arch, seed=0).replace_arrays([np.eye(d)], [np.zeros(d)])
 
 
 class TestArch:
@@ -106,12 +110,8 @@ class TestForward:
         assert out.shape == (0, arch.output_dim)
 
     def test_identity_dense_layer(self):
-        arch = SiameseArch(layers=(Dense(in_dim=5, out_dim=5, activation=None),),
-                           input_dim=5, output_dim=5)
-        p = init_params(arch, seed=0)
-        p = p.replace_arrays([np.eye(5)], [np.zeros(5)])
         v = np.array([1.0, -2.0, 0.5, 3.0, 0.0])
-        np.testing.assert_array_equal(forward_batch(p, v[None, :]), v[None, :])
+        np.testing.assert_array_equal(forward_batch(identity_params(5), v[None, :]), v[None, :])
 
     def test_dim_mismatch(self):
         p = init_params(tiny_arch(), seed=0)
@@ -132,38 +132,37 @@ class TestForward:
         np.testing.assert_allclose(both[n1:], forward_batch(p, x2), rtol=0, atol=1e-12)
 
 
-class TestPairDistanceLoss:
-    def test_equal_embeddings(self):
-        e = np.array([1.0, 2.0])
-        assert pair_distance(e, e) == pytest.approx(1.0)
-        assert pair_loss(e, e, 1) == pytest.approx(0.0)
+def cosine(e1, e2):
+    return float(np.dot(e1, e2) / (np.linalg.norm(e1) * np.linalg.norm(e2)))
 
+
+class TestPairDistanceLoss:
     def test_orthogonal(self):
-        assert pair_distance(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == pytest.approx(0.0)
-        assert pair_loss(np.array([1.0, 0.0]), np.array([0.0, 2.0]), 1) == pytest.approx(1.0)
+        loss = grad(identity_params(2), np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]]),
+                    np.array([1]))[2]
+        assert loss == pytest.approx(1.0)
 
     def test_antipodal(self):
-        e = np.array([0.3, -0.7])
-        assert pair_distance(e, -e) == pytest.approx(-1.0)
-        assert pair_loss(e, -e, -1) == pytest.approx(0.0)
+        e = np.array([[0.3, -0.7]])
+        assert grad(identity_params(2), e, -e, np.array([-1]))[2] == pytest.approx(0.0)
 
     def test_twin_symmetry(self):
         rng = np.random.default_rng(0)
         p = init_params(tiny_arch(), seed=0)
-        ea, eb = forward_batch(p, rng.normal(size=(2, 11)))
-        assert pair_distance(ea, eb) == pair_distance(eb, ea)
+        x = rng.normal(size=(2, 11))
+        ea, eb = forward_batch(p, x)
+        assert cosine(ea, eb) == cosine(eb, ea)
+        # swapping the twins leaves the pair loss unchanged
+        y = np.array([1.0])
+        assert grad(p, x[:1], x[1:], y)[2] == grad(p, x[1:], x[:1], y)[2]
 
     def test_loss_bounds(self):
         rng = np.random.default_rng(1)
         p = init_params(tiny_arch(), seed=1)
         for _ in range(50):
-            e1, e2 = forward_batch(p, rng.normal(size=(2, 11)))
-            for y in (1, -1):
-                assert 0.0 <= pair_loss(e1, e2, y) <= 4.0
-
-    def test_zero_embedding_errors(self):
-        with pytest.raises(NumericError):
-            pair_distance(np.zeros(3), np.ones(3))
+            x = rng.normal(size=(2, 11))
+            for y in (1.0, -1.0):
+                assert 0.0 <= grad(p, x[:1], x[1:], np.array([y]))[2] <= 4.0
 
 
 def fd_check(params, xa, xb, y, step=1e-5, rtol=1e-4, afloor=1e-7):
@@ -200,11 +199,8 @@ def fd_check(params, xa, xb, y, step=1e-5, rtol=1e-4, afloor=1e-7):
 class TestGrad:
     def test_zero_loss_gives_zero_gradient(self):
         # identity map, identical pair with y=+1: cosine is exactly 1
-        arch = SiameseArch(layers=(Dense(in_dim=3, out_dim=3, activation=None),),
-                           input_dim=3, output_dim=3)
-        p = init_params(arch, seed=0).replace_arrays([np.eye(3)], [np.zeros(3)])
         v = np.array([[1.0, 2.0, 2.0]])
-        gw, gb, loss = grad(p, v, v, np.array([1]))
+        gw, gb, loss = grad(identity_params(3), v, v, np.array([1]))
         assert loss == pytest.approx(0.0)
         np.testing.assert_allclose(gw[0], 0.0, atol=1e-12)
         np.testing.assert_allclose(gb[0], 0.0, atol=1e-12)

@@ -158,7 +158,6 @@ class TestRecursiveChain:
             fit_recursive_chain(ds.trn, ds.dev, depth=0)
         with pytest.raises(ValidationError):
             fit_recursive_chain(ds.trn, ds.dev, depth=4)
-        fit_recursive_chain(ds.trn, ds.dev, depth=4, max_depth=4)
 
 
 class TestApplyChain:
