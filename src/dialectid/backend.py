@@ -5,15 +5,19 @@ chain (each stage followed by length normalization), then an optional
 projection (LDA followed by length normalization, or the twin-network
 embedding), then a scorer (cosine dialect models or a linear SVM).
 Training and scoring both go through this object, so the order is written
-once, and `save`/`load` are the only code that knows the artifact payloads.
+once, and `save`/`load` are the only code that knows the artifact payload.
 
-A model directory holds one JSON artifact per stage plus ``manifest.json``
-with the training flags and the artifact file names; every artifact carries
-the fingerprint of the flags, which `load` verifies.
+A model directory holds one artifact, ``model.json`` (kind ``"model"``).
+Its payload maps ``"flags"`` to the training flags, ``"chain"`` to the
+whitening chain, ``"lda"`` or ``"siamese"`` to the projection of the
+``lda_cds`` or ``siam_cds`` recipe, and ``"svm"`` (``baseline_svm``) or
+``"models"`` (the cosine recipes) to the scorer. The artifact carries the
+fingerprint of the flags, which `load` verifies, and the recipe in the
+flags says which stage entries `load` reads.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -25,9 +29,7 @@ from .errors import FormatError, ValidationError
 
 RECIPES = ("baseline_svm", "cds", "lda_cds", "siam_cds")
 
-# artifact key in the manifest -> artifact kind; the file is <key>.json
-_KINDS = {"chain": "whitening_chain", "lda": "lda_projection", "siamese": "siamese_params",
-          "svm": "linear_svm", "models": "dialect_models"}
+MODEL_FILE = "model.json"
 _LAYER_TYPES = {"conv1d": siamese.Conv1d, "dense": siamese.Dense}
 
 Projection = Optional[Union[lda.LdaProjection, siamese.SiameseParams]]
@@ -44,16 +46,11 @@ def _project(projection: Projection, vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Backend:
-    """Whitening chain -> optional projection -> scorer.
-
-    `loss_history` is the twin network's per-epoch training loss, kept so
-    the saved twin-network artifact records it; it is empty otherwise.
-    """
+    """Whitening chain -> optional projection -> scorer."""
 
     chain: whitening.WhiteningChain
     projection: Projection
     scorer: Scorer
-    loss_history: tuple[float, ...] = field(default=(), repr=False)
 
     @property
     def dim(self) -> int:
@@ -87,7 +84,7 @@ class Backend:
             # built only for the recipes that fit on it, to keep memory down
             return trn.concat(dev) if dev is not None else trn
 
-        projection, history = None, []
+        projection = None
         if recipe == "lda_cds":
             projection = lda.fit_lda(pooled())
         elif recipe == "siam_cds":
@@ -98,7 +95,7 @@ class Backend:
                 epochs=flags["siam_epochs"], n_pairs=flags["siam_pairs"],
                 dev_emphasis=flags["dev_emphasis"], seed=flags["seed"],
             )
-            projection, history = siamese.train(
+            projection, _ = siamese.train(
                 siamese.init_params(arch, seed=flags["seed"]), pooled(), config)
 
         if recipe == "baseline_svm":
@@ -117,7 +114,7 @@ class Backend:
                     dev.with_vectors(_project(projection, dev.vectors)), labels,
                     domain_desc="DEV")
                 scorer = dialect_model.interpolate_models(scorer, dev_models, gamma)
-        return cls(chain, projection, scorer, tuple(history))
+        return cls(chain, projection, scorer)
 
     def transform(self, vectors: np.ndarray) -> np.ndarray:
         """Raw (n, dim) vectors -> the space the scorer works in."""
@@ -131,94 +128,82 @@ class Backend:
             return labels, svm.svm_decision(self.scorer, vectors)
         return labels, dialect_model.cds_score(self.scorer, vectors)
 
-    def _payloads(self):
+    def save(self, model_dir, flags: dict) -> str:
+        """Write ``<model_dir>/model.json``; returns the flags' fingerprint."""
         chain, proj, scorer = self.chain, self.projection, self.scorer
-        yield "chain", {
+        payload = {"flags": flags, "chain": {
             "fit_subsets": list(chain.fit_subsets),
             "stages": [{"mean": st.mean.tolist(), "matrix": st.matrix.tolist()}
                        for st in chain.stages],
-        }
+        }}
         if isinstance(proj, lda.LdaProjection):
-            yield "lda", {"mean": proj.mean.tolist(), "basis": proj.basis.tolist()}
+            payload["lda"] = {"mean": proj.mean.tolist(), "basis": proj.basis.tolist()}
         elif isinstance(proj, siamese.SiameseParams):
             layers = [dict(asdict(layer), type="conv1d" if isinstance(layer, siamese.Conv1d)
                            else "dense") for layer in proj.arch.layers]
-            yield "siamese", {
+            payload["siamese"] = {
                 "arch": {"layers": layers, "input_dim": proj.arch.input_dim,
                          "output_dim": proj.arch.output_dim},
                 "weights": [w.tolist() for w in proj.weights],
                 "biases": [b.tolist() for b in proj.biases],
                 "seed": proj.seed,
-                "loss_history": list(self.loss_history),
             }
         if isinstance(scorer, svm.LinearSvmModel):
-            yield "svm", {"labels": list(scorer.labels), "weights": scorer.weights.tolist(),
-                          "biases": scorer.biases.tolist(), "C": scorer.C}
+            payload["svm"] = {"labels": list(scorer.labels), "weights": scorer.weights.tolist(),
+                              "biases": scorer.biases.tolist(), "C": scorer.C}
         else:
-            yield "models", {"labels": list(scorer.labels), "models": scorer.models.tolist(),
-                             "provenance": asdict(scorer.provenance),
-                             "n_per_dialect": list(scorer.n_per_dialect)}
-
-    def save(self, model_dir, flags: dict) -> str:
-        """Write one artifact per stage plus the manifest; returns the fingerprint."""
+            payload["models"] = {"labels": list(scorer.labels), "models": scorer.models.tolist(),
+                                 "provenance": asdict(scorer.provenance),
+                                 "n_per_dialect": list(scorer.n_per_dialect)}
         fingerprint = fileio.config_fingerprint(flags)
         model_dir = Path(model_dir)
         model_dir.mkdir(parents=True, exist_ok=True)
-        artifacts = {}
-        for key, payload in self._payloads():
-            artifacts[key] = key + ".json"
-            fileio.save_artifact(model_dir / artifacts[key], _KINDS[key], fingerprint, payload)
-        fileio.save_artifact(model_dir / "manifest.json", "manifest", fingerprint,
-                             {"flags": flags, "artifacts": artifacts})
+        fileio.save_artifact(model_dir / MODEL_FILE, "model", fingerprint, payload)
         return fingerprint
 
     @classmethod
     def load(cls, model_dir) -> tuple["Backend", dict, str]:
-        """Read a model directory; returns (backend, training flags, fingerprint).
+        """Read ``<model_dir>/model.json``; returns (backend, training flags, fingerprint).
 
-        A fingerprint that does not match the flags, a missing key or a
-        wrong-typed entry raises FormatError.
+        A fingerprint that does not match the flags, an unknown recipe, a
+        stage entry the recipe needs but the file lacks, or a wrong-typed
+        entry raises FormatError.
         """
-        model_dir = Path(model_dir)
-        manifest_path = model_dir / "manifest.json"
-        manifest = fileio.load_artifact(manifest_path, "manifest")
+        path = Path(model_dir) / MODEL_FILE
+        payload, stored = fileio.load_artifact(path, "model")
         try:
-            flags, artifacts = manifest["flags"], manifest["artifacts"]
+            flags = payload["flags"]
             fingerprint = fileio.config_fingerprint(flags)
-            if fileio.read_fingerprint(manifest_path) != fingerprint:
-                raise FormatError("manifest fingerprint does not match its flags")
-            if flags["recipe"] not in RECIPES:
-                raise FormatError("manifest names unknown recipe %r" % (flags["recipe"],))
-
-            def read(key):
-                return fileio.load_artifact(model_dir / artifacts[key], _KINDS[key], fingerprint)
-
-            payload = read("chain")
+            if stored != fingerprint:
+                raise FormatError("%s: fingerprint does not match its flags" % path)
+            recipe = flags["recipe"]
+            if recipe not in RECIPES:
+                raise FormatError("%s: unknown recipe %r" % (path, recipe))
+            entry = payload["chain"]
             chain = whitening.WhiteningChain(
-                stages=[whitening.WhiteningStage(**st) for st in payload["stages"]],
-                fit_subsets=payload["fit_subsets"])
-            projection, history = None, ()
-            if "lda" in artifacts:
-                projection = lda.LdaProjection(**read("lda"))
-            elif "siamese" in artifacts:
-                payload = read("siamese")
-                arch = payload["arch"]
+                stages=[whitening.WhiteningStage(**st) for st in entry["stages"]],
+                fit_subsets=entry["fit_subsets"])
+            projection = None
+            if recipe == "lda_cds":
+                projection = lda.LdaProjection(**payload["lda"])
+            elif recipe == "siam_cds":
+                entry = payload["siamese"]
+                arch = entry["arch"]
                 layers = [_LAYER_TYPES[spec["type"]](**{k: v for k, v in spec.items()
                                                          if k != "type"})
                           for spec in arch["layers"]]
                 projection = siamese.SiameseParams(
                     arch=siamese.SiameseArch(layers, arch["input_dim"], arch["output_dim"]),
-                    weights=[np.array(w, dtype=np.float64) for w in payload["weights"]],
-                    biases=[np.array(b, dtype=np.float64) for b in payload["biases"]],
-                    seed=payload["seed"])
-                history = tuple(payload["loss_history"])
-            if "svm" in artifacts:
-                scorer = svm.LinearSvmModel(**read("svm"))
+                    weights=[np.array(w, dtype=np.float64) for w in entry["weights"]],
+                    biases=[np.array(b, dtype=np.float64) for b in entry["biases"]],
+                    seed=entry["seed"])
+            if recipe == "baseline_svm":
+                scorer = svm.LinearSvmModel(**payload["svm"])
             else:
-                payload = read("models")
+                entry = payload["models"]
                 scorer = dialect_model.DialectModelSet(**dict(
-                    payload, provenance=dialect_model.ModelProvenance(**payload["provenance"])))
+                    entry, provenance=dialect_model.ModelProvenance(**entry["provenance"])))
         except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as err:
-            raise FormatError("%s: malformed model directory (%s: %s)"
-                              % (model_dir, type(err).__name__, err)) from err
-        return cls(chain, projection, scorer, history), flags, fingerprint
+            raise FormatError("%s: malformed model (%s: %s)"
+                              % (path, type(err).__name__, err)) from err
+        return cls(chain, projection, scorer), flags, fingerprint

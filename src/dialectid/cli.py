@@ -1,8 +1,9 @@
 """Command-line pipeline: synth, train, score, calibrate-fuse, evaluate.
 
 Every subcommand is deterministic given its inputs and seed; rerunning a
-command writes byte-identical files. Model directories carry a config
-fingerprint that scoring verifies before trusting the artifacts.
+command writes byte-identical files, and every file is written whole (see
+`fileio.write_whole`). A model directory's ``model.json`` carries the
+fingerprint of the training flags, which scoring verifies before trusting it.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric failure, 4 I/O or
 format failure.
@@ -145,7 +146,7 @@ def cmd_calibrate_fuse(args) -> int:
     fileio.save_score_table(fused, out_dir / "fused.scores")
     # calibration (and the fusion weights) were fitted on these labels
     report = _report_for_table(fused, truth) + "fitted_on=%s\n" % fit_domain
-    (out_dir / "report.txt").write_text(report, encoding="utf-8")
+    fileio.write_whole(out_dir / "report.txt", report)
     sys.stdout.write(report)
     print("wrote %s and %s" % (out_dir / "fused.scores", out_dir / "report.txt"))
     return 0
@@ -166,7 +167,7 @@ def cmd_evaluate(args) -> int:
     truth = fileio.load_labels(args.labels)
     report = _report_for_table(table, truth)
     if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
+        fileio.write_whole(args.out, report)
     sys.stdout.write(report)
     return 0
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -46,11 +46,10 @@ class IVectorSet:
     """Labeled collection of fixed-dimension embedding vectors.
 
     `vectors` is an (n, dim) float64 matrix aligned row-for-row with
-    `utterances`. The matrix is read-only; derive new sets with
-    :meth:`with_vectors` or :meth:`subset` instead of mutating.
+    `utterances`; `dim` is its width. The matrix is read-only; derive new
+    sets with :meth:`with_vectors` or :meth:`subset` instead of mutating.
     """
 
-    dim: int
     utterances: tuple[Utterance, ...]
     vectors: np.ndarray = field(repr=False)
 
@@ -67,13 +66,10 @@ class IVectorSet:
             )
         if self.dim <= 0:
             raise ValidationError("dim must be positive")
-        # a declared dim differing from the matrix width is a reportable
-        # violation (see validate_dataset), not a construction error
 
-    @classmethod
-    def build(cls, utterances: Sequence[Utterance], vectors: np.ndarray) -> "IVectorSet":
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        return cls(dim=int(vectors.shape[1]), utterances=tuple(utterances), vectors=vectors)
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     def __len__(self):
         return len(self.utterances)
@@ -84,14 +80,14 @@ class IVectorSet:
 
     def with_vectors(self, vectors: np.ndarray) -> "IVectorSet":
         """Same utterances, new vectors (dimension may change)."""
-        return IVectorSet.build(self.utterances, vectors)
+        return IVectorSet(self.utterances, vectors)
 
     def subset(self, indices) -> "IVectorSet":
         indices = np.asarray(indices)
         if indices.dtype == bool:
             indices = np.flatnonzero(indices)
         utts = tuple(self.utterances[i] for i in indices)
-        return IVectorSet(dim=self.dim, utterances=utts, vectors=self.vectors[indices])
+        return IVectorSet(utts, self.vectors[indices])
 
     def indices_for_label(self, label: str) -> np.ndarray:
         return np.array([i for i, u in enumerate(self.utterances) if u.label == label], dtype=int)
@@ -99,11 +95,8 @@ class IVectorSet:
     def concat(self, other: "IVectorSet") -> "IVectorSet":
         if other.dim != self.dim:
             raise ValidationError("cannot concatenate sets of dim %d and %d" % (self.dim, other.dim))
-        return IVectorSet(
-            dim=self.dim,
-            utterances=self.utterances + other.utterances,
-            vectors=np.vstack([self.vectors, other.vectors]),
-        )
+        return IVectorSet(self.utterances + other.utterances,
+                          np.vstack([self.vectors, other.vectors]))
 
 
 @dataclass(frozen=True)
@@ -118,9 +111,9 @@ class ValidationReport:
 def validate_dataset(dataset: IVectorSet) -> ValidationReport:
     """Collect every invariant violation in `dataset`.
 
-    Violations are data, not failures: the report lists dim mismatches,
-    duplicate ids and non-finite entries with the offending utterance id,
-    and is empty for a well-formed set. Idempotent and side-effect free.
+    Violations are data, not failures: the report lists duplicate ids and
+    non-finite entries with the offending utterance id, and is empty for a
+    well-formed set. Idempotent and side-effect free.
     """
     violations = []
     seen = set()
@@ -128,11 +121,7 @@ def validate_dataset(dataset: IVectorSet) -> ValidationReport:
         if utt.id in seen:
             violations.append("duplicate id: %s" % utt.id)
         seen.add(utt.id)
-        row = dataset.vectors[i]
-        if row.shape[0] != dataset.dim:
-            violations.append("dim mismatch: %s has length %d, expected %d"
-                              % (utt.id, row.shape[0], dataset.dim))
-        if not np.all(np.isfinite(row)):
+        if not np.all(np.isfinite(dataset.vectors[i])):
             violations.append("non-finite entry: %s" % utt.id)
     return ValidationReport(tuple(violations))
 

@@ -11,13 +11,18 @@ runs produce byte-identical files. Formats:
 * labels       — ``utt_id<TAB>label`` rows, or any vector set file;
 * configs      — ``key=value`` lines with ``#`` comments, unknown keys are
                  rejected by the consumer;
-* artifacts    — JSON blobs carrying a format version and a config
-                 fingerprint that loaders verify.
+* artifacts    — one JSON object ``{"format_version", "kind", "fingerprint",
+                 "payload"}``; `load_artifact` checks the version and the
+                 kind and hands the fingerprint to the caller to verify.
+
+Every writer goes through `write_whole`, so a file is either left as it was
+or replaced by the complete new text, never half-written.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -26,7 +31,7 @@ import numpy as np
 from .data import Domain, IVectorSet, ScoreTable, Utterance
 from .errors import FormatError
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 UNLABELED = "-"
 
 
@@ -42,6 +47,23 @@ def _read_text(path) -> str:
         raise FormatError("%s: not UTF-8 text (byte %d): %s" % (path, err.start, err.reason))
 
 
+def write_whole(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, all or nothing.
+
+    The text goes to a temporary file beside `path`, which is then renamed
+    over it; on any failure the temporary file is removed and `path` keeps
+    its old content (or stays absent).
+    """
+    path = Path(path)
+    tmp = path.with_name(".%s.%d.tmp" % (path.name, os.getpid()))
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # vector sets
 # ---------------------------------------------------------------------------
@@ -51,7 +73,7 @@ def save_ivector_set(dataset: IVectorSet, path) -> None:
     for utt, row in zip(dataset.utterances, dataset.vectors):
         label = utt.label if utt.label is not None else UNLABELED
         lines.append("%s\t%s\t%s" % (utt.id, label, " ".join(_fmt(x) for x in row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_whole(path, "\n".join(lines) + "\n")
 
 
 def _vector_rows(path, lines):
@@ -65,6 +87,8 @@ def _vector_rows(path, lines):
         dim = int(lines[0][4:])
     except ValueError:
         raise FormatError("%s: bad dim header %r" % (path, lines[0]))
+    if dim < 1:
+        raise FormatError("%s: dim must be positive, got %d" % (path, dim))
 
     def rows():
         for ln, line in enumerate(lines[1:], start=2):
@@ -95,7 +119,7 @@ def load_ivector_set(path, domain: Domain = Domain.TST) -> IVectorSet:
         utts.append(Utterance(id=utt_id, domain=domain,
                               label=None if label == UNLABELED else label))
     matrix = np.vstack(rows) if rows else np.empty((0, dim))
-    return IVectorSet(dim=dim, utterances=tuple(utts), vectors=matrix)
+    return IVectorSet(tuple(utts), matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +130,7 @@ def save_score_table(table: ScoreTable, path) -> None:
     lines = ["%s\t%s" % (table.system_id, "\t".join(table.labels))]
     for utt, row in zip(table.utt_ids, table.scores):
         lines.append("%s\t%s" % (utt, "\t".join(_fmt(x) for x in row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_whole(path, "\n".join(lines) + "\n")
 
 
 def load_score_table(path) -> ScoreTable:
@@ -155,7 +179,7 @@ def load_transcripts(path, source: str = "word"):
 
 def save_transcripts(transcripts, path) -> None:
     lines = ["%s\t%s" % (t.utt_id, " ".join(t.tokens)) for t in transcripts]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_whole(path, "\n".join(lines) + "\n")
 
 
 def load_labels(path) -> dict[str, str]:
@@ -218,37 +242,25 @@ def save_artifact(path, kind: str, fingerprint: str, payload: Mapping) -> None:
         "fingerprint": fingerprint,
         "payload": payload,
     }
-    Path(path).write_text(
-        json.dumps(blob, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    # compact separators, no indent: json's C encoder then does the work
+    write_whole(path, json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _read_json(path) -> dict:
+def load_artifact(path, kind: str) -> tuple[dict, str]:
+    """(payload, stored fingerprint) of a `kind` artifact; the caller checks the fingerprint."""
     try:
         blob = json.loads(_read_text(path))
     except json.JSONDecodeError as err:
         raise FormatError("%s: invalid JSON artifact: %s" % (path, err))
     if not isinstance(blob, dict):
         raise FormatError("%s: artifact is not a JSON object" % path)
-    return blob
-
-
-def load_artifact(path, kind: str, fingerprint: Optional[str] = None) -> dict:
-    blob = _read_json(path)
     if blob.get("format_version") != ARTIFACT_VERSION:
         raise FormatError("%s: unsupported artifact version %r"
                           % (path, blob.get("format_version")))
     if blob.get("kind") != kind:
         raise FormatError("%s: expected %r artifact, found %r" % (path, kind, blob.get("kind")))
-    if fingerprint is not None and blob.get("fingerprint") != fingerprint:
-        raise FormatError("%s: fingerprint mismatch (model dir is inconsistent)" % path)
     if not isinstance(blob.get("payload"), dict):
         raise FormatError("%s: artifact has no payload object" % path)
-    return blob["payload"]
-
-
-def read_fingerprint(path) -> str:
-    blob = _read_json(path)
-    if "fingerprint" not in blob:
+    if not isinstance(blob.get("fingerprint"), str):
         raise FormatError("%s: artifact has no fingerprint" % path)
-    return blob["fingerprint"]
+    return blob["payload"], blob["fingerprint"]

@@ -79,7 +79,7 @@ def generate(cfg: SynthConfig) -> SynthDataset:
             for i in range(count):
                 utts.append(Utterance(id="%s-%s-%04d" % (tag, lab, i), domain=domain, label=lab))
             rows.append(block)
-        return IVectorSet(dim=cfg.dim, utterances=tuple(utts), vectors=np.vstack(rows))
+        return IVectorSet(tuple(utts), np.vstack(rows))
 
     zero = np.zeros(cfg.dim)
     trn = split("trn", Domain.TRN, cfg.n_trn, zero)

@@ -13,7 +13,7 @@ def make_set(X, labels=None, domain=Domain.TRN, prefix="u"):
     utts = [
         Utterance(id="%s%04d" % (prefix, i), domain=domain, label=labels[i]) for i in range(n)
     ]
-    return IVectorSet.build(utts, X)
+    return IVectorSet(utts, X)
 
 
 def sample_cov(X):

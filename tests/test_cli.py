@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialectid.cli import main
 from dialectid.data import Domain, ScoreTable
@@ -20,13 +26,26 @@ def data_dir(tmp_path):
     return out
 
 
-@pytest.fixture()
-def tiny_data(tmp_path):
-    data = tmp_path / "data"
-    cfg = tmp_path / "synth.cfg"
+def _synth_tiny(root):
+    data = root / "data"
+    cfg = root / "synth.cfg"
     cfg.write_text("dim=32\nn_trn=12\nn_dev=6\nn_tst=6\nseed=2\n")
     assert run("synth", "--config", cfg, "--out-dir", data) == 0
     return data
+
+
+@pytest.fixture()
+def tiny_data(tmp_path):
+    return _synth_tiny(tmp_path)
+
+
+# train flags of a quick dim-32 model per recipe
+RECIPE_FLAGS = {
+    "cds": (),
+    "lda_cds": ("--use-dev",),
+    "baseline_svm": ("--use-dev", "--svm-epochs", 30),
+    "siam_cds": ("--use-dev", "--siam-epochs", 2, "--siam-pairs", 200),
+}
 
 
 class TestSynthCommand:
@@ -84,10 +103,12 @@ class TestTrainCommand:
                    "--model-dir", tmp_path / "m", "--whiten-depth", 3,
                    "--use-dev", "--gamma", 0.91)
         assert code == 0
-        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
-        assert manifest["payload"]["flags"]["gamma"] == 0.91
-        assert (tmp_path / "m" / "chain.json").exists()
-        assert (tmp_path / "m" / "models.json").exists()
+        assert [p.name for p in (tmp_path / "m").iterdir()] == ["model.json"]
+        model = json.loads((tmp_path / "m" / "model.json").read_text())
+        assert model["format_version"] == 2 and model["kind"] == "model"
+        assert model["payload"]["flags"]["gamma"] == 0.91
+        assert sorted(model["payload"]) == ["chain", "flags", "models"]
+        assert len(model["payload"]["chain"]["stages"]) == 3
 
 
 class TestScoreCommand:
@@ -142,11 +163,23 @@ class TestScoreCommand:
     def test_tampered_fingerprint_rejected(self, data_dir, tmp_path):
         m = tmp_path / "m"
         self._train(data_dir, m)
-        manifest = json.loads((m / "manifest.json").read_text())
-        manifest["payload"]["flags"]["seed"] = 12345  # no longer matches fingerprint
-        (m / "manifest.json").write_text(json.dumps(manifest))
+        model = json.loads((m / "model.json").read_text())
+        model["payload"]["flags"]["seed"] = 12345  # no longer matches fingerprint
+        (m / "model.json").write_text(json.dumps(model))
         assert run("score", "--model-dir", m, "--data", data_dir / "tst.ivec",
                    "--out", tmp_path / "x.scores") == 4
+
+    def test_version_1_model_dir_rejected(self, data_dir, tmp_path, capsys):
+        # a version-1 model directory has one file per stage and no model.json
+        m = tmp_path / "m"
+        m.mkdir()
+        for name in ("chain.json", "models.json"):
+            (m / name).write_text('{"format_version": 1, "payload": {}}\n')
+        capsys.readouterr()
+        assert run("score", "--model-dir", m, "--data", data_dir / "tst.ivec",
+                   "--out", tmp_path / "x.scores") == 4
+        assert only_stderr_line(capsys).startswith("i/o error:")
+        assert not (tmp_path / "x.scores").exists()
 
     def test_siamese_and_lda_and_svm_recipes_score(self, tiny_data, tmp_path):
         empty = tmp_path / "empty.ivec"
@@ -252,12 +285,7 @@ def only_stderr_line(capsys):
 
 
 class TestRerunDeterminism:
-    @pytest.mark.parametrize("recipe, extra", [
-        ("cds", ()),
-        ("lda_cds", ("--use-dev",)),
-        ("baseline_svm", ("--use-dev", "--svm-epochs", 30)),
-        ("siam_cds", ("--use-dev", "--siam-epochs", 2, "--siam-pairs", 200)),
-    ])
+    @pytest.mark.parametrize("recipe, extra", list(RECIPE_FLAGS.items()))
     def test_model_dir_and_scores_byte_identical(self, tiny_data, tmp_path, recipe, extra):
         from dialectid.backend import Backend
 
@@ -274,6 +302,7 @@ class TestRerunDeterminism:
                        "--out", out / "tst.scores") == 0
             runs.append(files(out))
         assert runs[0] == runs[1]
+        assert sorted(str(p) for p in runs[0]) == ["model/model.json", "tst.scores"]
         # loading and saving again reproduces the model directory
         backend, flags, _ = Backend.load(tmp_path / "a" / "model")
         backend.save(tmp_path / "resaved", flags)
@@ -288,20 +317,20 @@ def _edit_payload(edit):
 
 
 class TestMalformedModelDir:
-    @pytest.mark.parametrize("artifact, mutate", [
-        ("models.json", _edit_payload(lambda p: p.pop("provenance"))),
-        ("manifest.json", _edit_payload(lambda p: p["artifacts"].pop("chain"))),
-        ("models.json", _edit_payload(lambda p: p.update(models="not a matrix"))),
-        ("models.json", _edit_payload(lambda p: p.update(provenance=["interpolated"]))),
-        ("chain.json", _edit_payload(lambda p: p["stages"][0].update(matrix=[[1.0]]))),
-        ("manifest.json", lambda blob: dict(blob, payload=[])),
-        ("chain.json", lambda blob: [blob]),
+    @pytest.mark.parametrize("mutate", [
+        _edit_payload(lambda p: p["models"].pop("provenance")),
+        _edit_payload(lambda p: p.pop("chain")),
+        _edit_payload(lambda p: p["models"].update(models="not a matrix")),
+        _edit_payload(lambda p: p["models"].update(provenance=["interpolated"])),
+        _edit_payload(lambda p: p["chain"]["stages"][0].update(matrix=[[1.0]])),
+        lambda blob: dict(blob, payload=[]),
+        lambda blob: [blob],
     ], ids=["missing-provenance", "missing-chain", "string-models", "list-provenance",
             "wrong-shape-matrix", "list-payload", "list-artifact"])
-    def test_exits_4_with_one_line(self, data_dir, tmp_path, capsys, artifact, mutate):
+    def test_exits_4_with_one_line(self, data_dir, tmp_path, capsys, mutate):
         m = tmp_path / "m"
         assert run("train", "--recipe", "cds", "--data-dir", data_dir, "--model-dir", m) == 0
-        path = m / artifact
+        path = m / "model.json"
         path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
         capsys.readouterr()
         assert run("score", "--model-dir", m, "--data", data_dir / "tst.ivec",
@@ -375,3 +404,102 @@ class TestOutOfRangeFlagValues:
         assert run(*argv) == 2
         assert only_stderr_line(capsys).startswith("validation error:")
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """tiny data plus one model directory per recipe, named after the recipe"""
+    root = tmp_path_factory.mktemp("trained")
+    data = _synth_tiny(root)
+    for recipe, extra in RECIPE_FLAGS.items():
+        assert run("train", "--recipe", recipe, "--data-dir", data,
+                   "--model-dir", root / recipe, *extra) == 0
+    return root
+
+
+# the top-level payload keys each recipe's model.json needs
+RECIPE_KEYS = {
+    "cds": ("flags", "chain", "models"),
+    "lda_cds": ("flags", "chain", "lda", "models"),
+    "baseline_svm": ("flags", "chain", "svm"),
+    "siam_cds": ("flags", "chain", "siamese", "models"),
+}
+
+
+def score_with_model_text(root, text):
+    """Score tiny TST with a model dir holding `text` as model.json.
+
+    Returns (exit code, stderr lines, whether a score file was written).
+    """
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        model_dir = os.path.join(tmp, "model")
+        os.mkdir(model_dir)
+        with open(os.path.join(model_dir, "model.json"), "wb") as f:
+            f.write(text)
+        out = os.path.join(tmp, "x.scores")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("score", "--model-dir", model_dir, "--data", root / "data" / "tst.ivec",
+                       "--out", out)
+        return code, err.getvalue().splitlines(), os.path.exists(out)
+
+
+class TestModelFileProperties:
+    def test_intact_model_scores(self, trained):
+        for recipe in RECIPE_FLAGS:
+            text = (trained / recipe / "model.json").read_bytes()
+            assert score_with_model_text(trained, text) == (0, [], True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_model_exits_4(self, trained, data):
+        recipe = data.draw(st.sampled_from(sorted(RECIPE_FLAGS)))
+        text = (trained / recipe / "model.json").read_bytes()
+        cut = data.draw(st.integers(0, text.rindex(b"}")))
+        code, err, wrote = score_with_model_text(trained, text[:cut])
+        assert code == 4 and len(err) == 1 and err[0].startswith("i/o error:")
+        assert not wrote
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from([(r, k) for r, keys in sorted(RECIPE_KEYS.items())
+                                 for k in keys]))
+    def test_missing_stage_exits_4(self, trained, case):
+        recipe, key = case
+        blob = json.loads((trained / recipe / "model.json").read_text())
+        assert sorted(blob["payload"]) == sorted(RECIPE_KEYS[recipe])
+        del blob["payload"][key]
+        code, err, wrote = score_with_model_text(trained, json.dumps(blob).encode())
+        assert code == 4 and len(err) == 1 and err[0].startswith("i/o error:")
+        assert not wrote
+
+
+class TestWholeFileWrites:
+    @pytest.mark.parametrize("command", ["train", "score", "calibrate-fuse", "evaluate"])
+    def test_failed_rename_leaves_target_as_it_was(self, tiny_data, tmp_path, capsys,
+                                                   monkeypatch, command):
+        m, scores, labels = tmp_path / "m", tmp_path / "tst.scores", tiny_data / "tst.ivec"
+        assert run("train", "--recipe", "cds", "--data-dir", tiny_data, "--model-dir", m) == 0
+        assert run("score", "--model-dir", m, "--data", labels, "--out", scores) == 0
+        (tmp_path / "f").mkdir()
+        argv, target = {
+            "train": (("train", "--recipe", "cds", "--data-dir", tiny_data, "--model-dir", m),
+                      m / "model.json"),
+            "score": (("score", "--model-dir", m, "--data", labels, "--out", scores), scores),
+            "calibrate-fuse": (("calibrate-fuse", "--scores", scores, "--labels", labels,
+                                "--weights", "1.0", "--out-dir", tmp_path / "f"),
+                               tmp_path / "f" / "fused.scores"),
+            "evaluate": (("evaluate", "--scores", scores, "--labels", labels,
+                          "--out", tmp_path / "report.txt"), tmp_path / "report.txt"),
+        }[command]
+        target.write_text("old\n")
+        before = sorted(target.parent.iterdir())
+
+        def refuse(src, dst):
+            raise PermissionError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        capsys.readouterr()
+        assert run(*argv) == 4
+        assert only_stderr_line(capsys).startswith("i/o error:")
+        assert target.read_text() == "old\n"
+        assert sorted(target.parent.iterdir()) == before

@@ -29,7 +29,14 @@ class TestIVectorSet:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            IVectorSet(dim=3, utterances=(Utterance("a", Domain.TRN),), vectors=np.zeros((2, 3)))
+            IVectorSet((Utterance("a", Domain.TRN),), np.zeros((2, 3)))
+
+    def test_dim_is_matrix_width(self):
+        utts = (Utterance("a", Domain.TRN),)
+        assert IVectorSet(utts, np.zeros((1, 7))).dim == 7
+        assert make_set(np.zeros((0, 5))).dim == 5
+        with pytest.raises(ValidationError, match="dim must be positive"):
+            IVectorSet(utts, np.zeros((1, 0)))
 
     def test_subset_and_concat(self):
         s = make_set(np.arange(12.0).reshape(4, 3), labels=["A", "B", "A", "B"])
@@ -44,16 +51,9 @@ class TestValidateDataset:
         s = make_set(np.random.default_rng(0).normal(size=(2, 400)))
         assert validate_dataset(s).ok
 
-    def test_dim_mismatch_reported_with_id(self):
-        utts = (Utterance("short", Domain.TRN),)
-        s = IVectorSet(dim=400, utterances=utts, vectors=np.zeros((1, 399)))
-        report = validate_dataset(s)
-        assert not report.ok
-        assert any(v.startswith("dim mismatch: short") for v in report.violations)
-
     def test_duplicate_id_reported(self):
         utts = (Utterance("same", Domain.TRN), Utterance("same", Domain.TRN))
-        s = IVectorSet(dim=3, utterances=utts, vectors=np.zeros((2, 3)))
+        s = IVectorSet(utts, np.zeros((2, 3)))
         report = validate_dataset(s)
         assert any("duplicate id: same" in v for v in report.violations)
 

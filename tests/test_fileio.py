@@ -11,7 +11,6 @@ from dialectid.fileio import (
     load_score_table,
     load_transcripts,
     parse_config,
-    read_fingerprint,
     save_artifact,
     save_ivector_set,
     save_score_table,
@@ -46,6 +45,13 @@ class TestIVectorRoundTrip:
         p = tmp_path / "bad.ivec"
         p.write_text("width=3\n")
         with pytest.raises(FormatError):
+            load_ivector_set(p)
+
+    @pytest.mark.parametrize("header", ["dim=0", "dim=-1"])
+    def test_nonpositive_dim_rejected(self, tmp_path, header):
+        p = tmp_path / "bad.ivec"
+        p.write_text(header + "\n")
+        with pytest.raises(FormatError, match="dim must be positive"):
             load_ivector_set(p)
 
     def test_wrong_vector_length_rejected(self, tmp_path):
@@ -140,21 +146,33 @@ class TestArtifacts:
         fp = config_fingerprint({"x": 1})
         path = tmp_path / "a.json"
         save_artifact(path, "demo", fp, {"value": [1.5, -2.25e-9]})
-        payload = load_artifact(path, "demo", fp)
+        payload, stored = load_artifact(path, "demo")
         assert payload["value"] == [1.5, -2.25e-9]
-        assert read_fingerprint(path) == fp
+        assert stored == fp
+        assert path.read_text().count("\n") == 1  # compact: one line
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "a.json"
-        save_artifact(path, "demo", "aaaa", {"v": 1})
-        with pytest.raises(FormatError):
-            load_artifact(path, "demo", "bbbb")
+        from dialectid.backend import Backend
+
+        save_artifact(tmp_path / "model.json", "model", "aaaa", {"flags": {"recipe": "cds"}})
+        with pytest.raises(FormatError, match="fingerprint"):
+            Backend.load(tmp_path)
 
     def test_kind_mismatch_rejected(self, tmp_path):
         path = tmp_path / "a.json"
         save_artifact(path, "demo", "aaaa", {"v": 1})
         with pytest.raises(FormatError):
-            load_artifact(path, "other", "aaaa")
+            load_artifact(path, "other")
+
+    @pytest.mark.parametrize("blob", [
+        '{"format_version": 1, "kind": "demo", "fingerprint": "aaaa", "payload": {}}',
+        '{"format_version": 2, "kind": "demo", "payload": {}}',
+    ], ids=["version-1", "no-fingerprint"])
+    def test_old_version_or_missing_fingerprint_rejected(self, tmp_path, blob):
+        path = tmp_path / "a.json"
+        path.write_text(blob)
+        with pytest.raises(FormatError):
+            load_artifact(path, "demo")
 
     def test_fingerprint_stable_across_key_order(self):
         assert config_fingerprint({"a": 1, "b": 2}) == config_fingerprint({"b": 2, "a": 1})
