@@ -1,9 +1,9 @@
 """Hot numeric kernels, in vectorized numpy.
 
 The inner loops that dominate training time: 1-D convolution forward and
-backward for the twin network, and the per-sample hinge subgradient sweep
-for the SVM. All are deterministic; all randomness (shuffles, sampling)
-stays with the callers.
+backward for the twin network, and the hinge subgradient sweep that trains
+all K one-vs-rest SVM labels at once. All are deterministic; all randomness
+(shuffles, sampling) stays with the callers.
 """
 from __future__ import annotations
 
@@ -45,29 +45,39 @@ def conv1d_backward(x, w, stride, gout):
     return dx, dw, db
 
 
-def svm_epochs(data, indices, indptr, dim, y, order, C):
-    """Subgradient sweep for one binary hinge problem on CSR features.
+def svm_epochs(data, indices, indptr, dim, Y, order, C):
+    """One subgradient sweep for K one-vs-rest hinge problems -> W (K, dim), b (K,).
 
-    Minimizes 0.5*||w||^2 + C * sum_i hinge(y_i * (w.x_i + b)) with the
-    1/(lambda*t) step schedule, lambda = 1/(C*N). ``order`` holds the
-    pre-shuffled sample index per (epoch, step); the bias is unregularized.
+    Label k minimizes 0.5*||w_k||^2 + C * sum_i hinge(Y[k, i] * (w_k.x_i + b_k))
+    over CSR rows with the 1/(lambda*t) schedule, lambda = 1/(C*N); ``order``
+    holds the sample index per (epoch, step); the bias is unregularized. The decay
+    w *= 1 - 1/t unrolls to w_t = U_t / (lambda*t), U_t the sum of y_j*x_j over
+    violating steps j <= t; keeping U, a step is one (K, nnz) matvec for the K
+    margins (0 at t = 1) plus an nnz add per violated label. A full row (nnz == dim,
+    canonical CSR) skips the gather; other rows get intp columns once, not per step.
     """
-    n = indptr.shape[0] - 1
+    K, n = Y.shape
     lam = 1.0 / (C * n)
-    w = np.zeros(dim)
-    b = 0.0
+    U = np.zeros((K, dim))
+    b = [0.0] * K
+    y_cols = Y.T.tolist()
+    rows = [(data[lo:hi], None if hi - lo == dim else indices[lo:hi].astype(np.intp))
+            for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
     t = 0
-    for e in range(order.shape[0]):
-        for s in range(n):
-            i = order[e, s]
+    for epoch in order:
+        for i in epoch.tolist():
             t += 1
-            lo, hi = indptr[i], indptr[i + 1]
-            cols = indices[lo:hi]
-            vals = data[lo:hi]
-            margin = y[i] * (float(vals @ w[cols]) + b)
-            w *= 1.0 - 1.0 / t
-            if margin < 1.0:
-                coef = y[i] / (lam * t)
-                w[cols] += coef * vals
-                b += coef
-    return w, b
+            vals, cols = rows[i]
+            m = (U @ vals if cols is None else U[:, cols] @ vals).tolist()
+            prev = lam * (t - 1) or 1.0  # at t = 1, U and so m are 0
+            for k, y in enumerate(y_cols[i]):
+                if y * (m[k] / prev + b[k]) < 1.0:
+                    u = U[k]  # a view, updated in place
+                    if cols is not None:
+                        u[cols] += y * vals
+                    elif y > 0:
+                        u += vals
+                    else:
+                        u -= vals
+                    b[k] += y / (lam * t)
+    return U / (lam * t), np.array(b)

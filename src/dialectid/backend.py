@@ -116,14 +116,10 @@ class Backend:
                 scorer = dialect_model.interpolate_models(scorer, dev_models, gamma)
         return cls(chain, projection, scorer)
 
-    def transform(self, vectors: np.ndarray) -> np.ndarray:
-        """Raw (n, dim) vectors -> the space the scorer works in."""
-        return _project(self.projection, whitening.apply_chain(self.chain, vectors))
-
     def score(self, vectors: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
         """Raw (n, dim) vectors -> (labels, (n, K) scores)."""
         labels = self.scorer.labels
-        vectors = self.transform(vectors)
+        vectors = _project(self.projection, whitening.apply_chain(self.chain, vectors))
         if isinstance(self.scorer, svm.LinearSvmModel):
             return labels, svm.svm_decision(self.scorer, vectors)
         return labels, dialect_model.cds_score(self.scorer, vectors)

@@ -10,7 +10,8 @@ given in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations
+from math import comb, inf
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,6 +21,8 @@ from .errors import NumericError, ValidationError
 
 MIN_SLOPE = 1e-12
 WEIGHT_SUM_TOL = 1e-9
+# fusion grid cap: a point takes ~0.09 ms at 2000 rows, 5 labels, 5 systems
+MAX_GRID_POINTS = 10**5
 
 
 @dataclass(frozen=True)
@@ -164,26 +167,29 @@ def fit_fusion_weights(
 ) -> FusionWeights:
     """Grid-search the weight simplex (default 0.1 steps) for best fused accuracy.
 
-    Ties resolve to the lexicographically first weight tuple in system-id
-    order, so the search is deterministic.
+    A grid above MAX_GRID_POINTS, C(steps + S - 1, S - 1) for S tables, is
+    refused. Ties resolve to the lexicographically first weight tuple in
+    system-id order, so the search is deterministic.
     """
     if not tables:
         raise ValidationError("need at least one table")
-    if not resolution > 0:
+    if not (resolution > 0 and 1.0 / resolution < inf):
         raise ValidationError("resolution must be positive, got %r" % (resolution,))
     steps = int(round(1.0 / resolution))
     if abs(steps * resolution - 1.0) > 1e-9 or steps < 1:
         raise ValidationError("resolution must divide 1 evenly")
     ids, utt_ids, labels, stack = _aligned(tables)
+    points = comb(steps + len(ids) - 1, len(ids) - 1)
+    if points > MAX_GRID_POINTS:
+        raise ValidationError("fusion grid of %d points is above %d" % (points, MAX_GRID_POINTS))
     # each row's true label column; -1 (never predicted) when unlabeled or unknown
     column = {label: k for k, label in enumerate(labels)}
     truth_col = np.array([column.get(truth.get(u), -1) for u in utt_ids], dtype=np.int64)
     best = None
-    for combo in combinations_with_replacement(range(len(ids)), steps):
-        counts = [0] * len(ids)
-        for c in combo:
-            counts[c] += 1
-        w = tuple(c / steps for c in counts)
+    # stars and bars: S - 1 bar positions among steps + S - 1 slots
+    for bars in combinations(range(steps + len(ids) - 1), len(ids) - 1):
+        edges = (-1,) + bars + (steps + len(ids) - 1,)
+        w = tuple((hi - lo - 1) / steps for lo, hi in zip(edges, edges[1:]))
         correct = int(np.count_nonzero(_combine(stack, w).argmax(axis=1) == truth_col))
         key = (-correct, w)
         if best is None or key < best[0]:

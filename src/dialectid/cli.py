@@ -194,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--use-dev", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--svm-c", type=float, default=svm.DEFAULT_C)
-    p.add_argument("--svm-epochs", type=int, default=svm.DEFAULT_EPOCHS)
+    p.add_argument("--svm-epochs", type=int, default=svm.DEFAULT_EPOCHS,
+                   help="epochs x training rows must be at most %d" % svm.MAX_STEPS)
     p.add_argument("--siam-out-dim", type=int, default=None)
     p.add_argument("--siam-epochs", type=int, default=15)
     p.add_argument("--siam-pairs", type=int, default=3000)
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None, help="comma-separated, aligned with --scores")
     p.add_argument("--fit-weights", action="store_true",
                    help="grid-search the weight simplex instead of --weights")
-    p.add_argument("--resolution", type=float, default=0.1)
+    p.add_argument("--resolution", type=float, default=0.1, help="weight grid step; "
+                   "the grid may have at most %d points" % calibration.MAX_GRID_POINTS)
     p.set_defaults(func=cmd_calibrate_fuse)
 
     p = sub.add_parser("evaluate", help="evaluate a score table against labels")

@@ -3,8 +3,8 @@
 Per label, minimizes 0.5*||w||^2 + C * sum_i hinge(y_i (w.x_i + b)) with
 the classic 1/(lambda*t) step schedule (lambda = 1/(C*N)), visiting samples
 in seeded shuffled order; retraining with the same seed is bitwise
-reproducible. Features may be dense arrays or scipy CSR matrices; the
-sweep itself runs on CSR arrays in `_kernels.svm_epochs`.
+reproducible. Features may be dense arrays or scipy CSR matrices; all K
+labels share the shuffle, so one CSR sweep (`_kernels.svm_epochs`) trains them.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .errors import ValidationError
 
 DEFAULT_C = 0.01
 DEFAULT_EPOCHS = 100
+MAX_STEPS = 10**8  # epochs x rows cap; the order table takes 8 B a step (800 MB)
 
 
 @dataclass(frozen=True)
@@ -38,19 +39,12 @@ class LinearSvmModel:
             raise ValidationError("per-label weight/bias count mismatch")
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
             raise ValidationError("SVM parameters must be finite")
-        if self.C <= 0:
-            raise ValidationError("C must be positive")
+        if not 0 < self.C < np.inf:
+            raise ValidationError("C must be finite and positive")
 
     @property
     def dim(self) -> int:
         return self.weights.shape[1]
-
-
-def _as_csr(features) -> scipy.sparse.csr_matrix:
-    if scipy.sparse.issparse(features):
-        return features.tocsr().astype(np.float64)
-    arr = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return scipy.sparse.csr_matrix(arr)
 
 
 def train_linear_svm(
@@ -61,54 +55,46 @@ def train_linear_svm(
     seed: int = 0,
     class_labels: Optional[Sequence[str]] = None,
 ) -> LinearSvmModel:
-    """Train one binary hinge model per label (one-vs-rest).
+    """Train one binary hinge model per label (one-vs-rest), all in one sweep.
 
     `class_labels` fixes the label order; by default labels are taken in
     order of first appearance. All binary problems share the same seeded
-    shuffle sequence.
+    shuffle sequence. C must be finite and positive and epochs x rows at most
+    MAX_STEPS; both are checked before the order table is allocated.
     """
-    X = _as_csr(features)
+    X = scipy.sparse.csr_matrix(features, dtype=np.float64, copy=True)
+    X.sum_duplicates()  # canonical CSR: the sweep takes nnz == dim as a full row
     labels = list(labels)
     if X.shape[0] != len(labels):
         raise ValidationError("feature rows %d != label count %d" % (X.shape[0], len(labels)))
-    if class_labels is None:
-        class_labels = list(dict.fromkeys(labels))
-    class_labels = tuple(class_labels)
+    class_labels = tuple(dict.fromkeys(labels) if class_labels is None else class_labels)
     if len(class_labels) < 2:
         raise ValidationError("need at least 2 distinct labels, got %r" % (class_labels,))
     unknown = set(labels) - set(class_labels)
     if unknown:
         raise ValidationError("labels %r missing from class set" % (sorted(unknown),))
-    if C <= 0:
-        raise ValidationError("C must be positive")
+    n, dim = X.shape
+    lam = 1.0 / (C * n) if 0 < C < np.inf and n else 0.0  # the sweep's lambda
+    if not 0 < lam < np.inf:
+        raise ValidationError("C=%r for %d rows: C must be finite and positive" % (C, n))
     if epochs < 1:
         raise ValidationError("epochs must be >= 1")
+    if epochs * n > MAX_STEPS:
+        raise ValidationError("epochs x rows = %d x %d exceeds %d steps" % (epochs, n, MAX_STEPS))
 
-    n, dim = X.shape
     rng = np.random.default_rng(seed)
     order = np.empty((epochs, n), dtype=np.int64)
     for e in range(epochs):
         order[e] = rng.permutation(n)
-
-    data = np.ascontiguousarray(X.data, dtype=np.float64)
-    indices = np.ascontiguousarray(X.indices, dtype=np.int64)
-    indptr = np.ascontiguousarray(X.indptr, dtype=np.int64)
-    lab_arr = np.array(labels)
-    weights = np.empty((len(class_labels), dim))
-    biases = np.empty(len(class_labels))
-    for k, lab in enumerate(class_labels):
-        y = np.where(lab_arr == lab, 1.0, -1.0)
-        w, b = _kernels.svm_epochs(data, indices, indptr, dim, y, order, float(C))
-        weights[k] = w
-        biases[k] = b
+    Y = np.where(np.array(labels)[None, :] == np.array(class_labels)[:, None], 1.0, -1.0)
+    weights, biases = _kernels.svm_epochs(X.data, X.indices, X.indptr, dim, Y, order, float(C))
     return LinearSvmModel(labels=class_labels, weights=weights, biases=biases, C=float(C))
 
 
 def svm_decision(model: LinearSvmModel, x) -> np.ndarray:
     """Per-label decision values w_k . x + b_k; (K,) for one vector, (n, K) for a batch."""
-    if scipy.sparse.issparse(x):
-        x = np.asarray(x.todense())
-    x = np.asarray(x, dtype=np.float64)
+    if not scipy.sparse.issparse(x):  # CSR is scored as is, never densified
+        x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.dim:
         raise ValidationError("feature dim %d does not match model dim %d"
                               % (x.shape[-1], model.dim))

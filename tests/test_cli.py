@@ -367,6 +367,7 @@ class TestFusionFlags:
         ("--weights", "0.5,x"),
         ("--fit-weights", "--resolution", "0"),
         ("--fit-weights", "--resolution", "-0.5"),
+        ("--fit-weights", "--resolution", "1e-320"),
     ])
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, flags):
         labels = tmp_path / "labels.tsv"
@@ -378,8 +379,24 @@ class TestFusionFlags:
         assert only_stderr_line(capsys).startswith("validation error:")
         assert not (tmp_path / "f").exists()
 
+    def test_grid_above_cap_exits_2_naming_its_size(self, tmp_path, capsys):
+        # two systems at resolution 1e-6 make a grid of 1000001 points
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("u1\tA\nu2\tB\n")
+        scores = []
+        for name, row in (("a", "0.9\t0.1"), ("b", "0.3\t0.6")):
+            scores.append(tmp_path / (name + ".scores"))
+            scores[-1].write_text("%s\tA\tB\nu1\t%s\nu2\t0.2\t0.8\n" % (name, row))
+        capsys.readouterr()
+        assert run("calibrate-fuse", "--scores", *scores, "--labels", labels,
+                   "--out-dir", tmp_path / "f", "--fit-weights", "--resolution", "1e-6") == 2
+        line = only_stderr_line(capsys)
+        assert line.startswith("validation error:") and "1000001" in line
+        assert not (tmp_path / "f").exists()
+
 
 SIAM_TRAIN = ("train", "--recipe", "siam_cds", "--siam-epochs", 1, "--siam-pairs", 20)
+SVM_TRAIN = ("train", "--recipe", "baseline_svm")
 
 
 class TestOutOfRangeFlagValues:
@@ -390,8 +407,12 @@ class TestOutOfRangeFlagValues:
         SIAM_TRAIN + ("--use-dev", "--dev-emphasis", "inf"),
         ("synth", "--seed", -1),
         ("synth", "--config", "negative-seed.cfg"),
+        SVM_TRAIN + ("--svm-c", "inf"),
+        SVM_TRAIN + ("--svm-c", "nan"),
+        SVM_TRAIN + ("--svm-epochs", "100000000000000000000"),
     ], ids=["siam-out-dim-negative", "siam-out-dim-zero", "dev-emphasis-nan",
-            "dev-emphasis-inf", "synth-seed-flag", "synth-seed-config"])
+            "dev-emphasis-inf", "synth-seed-flag", "synth-seed-config", "svm-c-inf",
+            "svm-c-nan", "svm-epochs-huge"])
     def test_exits_2_with_one_line(self, tiny_data, tmp_path, capsys, argv):
         (tmp_path / "negative-seed.cfg").write_text("dim=8\nseed=-1\n")
         argv = [tmp_path / a if a == "negative-seed.cfg" else a for a in argv]

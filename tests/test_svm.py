@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from dialectid import svm
 from dialectid.errors import ValidationError
 from dialectid.svm import DEFAULT_C, LinearSvmModel, svm_decision, train_linear_svm
 
@@ -52,6 +53,37 @@ class TestTrainLinearSvm:
         m_sparse = train_linear_svm(scipy.sparse.csr_matrix(X), labels, epochs=20, seed=0)
         np.testing.assert_allclose(m_dense.weights, m_sparse.weights, atol=1e-12)
 
+    def test_noncanonical_sparse_input_matches_dense(self):
+        # row 0 stores column 0 twice (1.0 + 2.0) and column 1 not at all, so it
+        # has nnz == dim without being full; row 2 lists its columns backwards
+        X = np.array([[3.0, 0.0], [1.0, -1.0], [0.5, 2.0], [-2.0, 1.0]])
+        csr = scipy.sparse.csr_matrix(
+            (np.array([1.0, 2.0, 1.0, -1.0, 2.0, 0.5, -2.0, 1.0]),
+             np.array([0, 0, 0, 1, 1, 0, 0, 1]), np.array([0, 2, 4, 6, 8])), shape=(4, 2))
+        labels = ["a", "b", "a", "b"]
+        m_sparse = train_linear_svm(csr, labels, epochs=7, seed=3)
+        m_dense = train_linear_svm(X, labels, epochs=7, seed=3)
+        np.testing.assert_allclose(m_sparse.weights, m_dense.weights, rtol=1e-12)
+        np.testing.assert_array_equal(m_sparse.biases, m_dense.biases)
+        assert csr.indices.tolist() == [0, 0, 0, 1, 1, 0, 0, 1]  # the input is not modified
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, float("inf"), float("nan"), 1e308, 1e-320],
+                             ids=["zero", "negative", "inf", "nan", "c-times-rows-overflows",
+                                  "inverse-overflows"])
+    def test_c_out_of_range_rejected(self, C):
+        X, labels = toy_separable()
+        with pytest.raises(ValidationError, match="C must be finite and positive"):
+            train_linear_svm(X, labels, C=C, epochs=1)
+
+    def test_steps_above_cap_rejected(self, monkeypatch):
+        X, labels = toy_separable(n=10)  # 20 rows
+        with pytest.raises(ValidationError, match="exceeds"):
+            train_linear_svm(X, labels, epochs=10**20)
+        monkeypatch.setattr(svm, "MAX_STEPS", 100)
+        train_linear_svm(X, labels, epochs=5)  # 100 steps: at the cap
+        with pytest.raises(ValidationError, match="exceeds 100 steps"):
+            train_linear_svm(X, labels, epochs=6)
+
     def test_single_label_rejected(self):
         with pytest.raises(ValidationError):
             train_linear_svm(np.eye(3), ["A", "A", "A"])
@@ -98,6 +130,15 @@ class TestSvmDecision:
         out = svm_decision(model, np.zeros((5, 3)))
         assert out.shape == (5, 2)
         np.testing.assert_array_equal(out[:, 0], 1.0)
+
+    def test_sparse_input_matches_dense(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(30, 50)) * (rng.random((30, 50)) < 0.1)
+        model = LinearSvmModel(labels=("A", "B", "C"), weights=rng.normal(size=(3, 50)),
+                               biases=rng.normal(size=3))
+        got = svm_decision(model, scipy.sparse.csr_matrix(X))
+        assert type(got) is np.ndarray and got.shape == (30, 3)
+        np.testing.assert_allclose(got, svm_decision(model, X), rtol=0, atol=1e-12)
 
     def test_dim_mismatch(self):
         model = LinearSvmModel(labels=("A", "B"), weights=np.zeros((2, 3)),
