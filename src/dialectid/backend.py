@@ -11,13 +11,16 @@ A model directory holds one artifact, ``model.json`` (kind ``"model"``).
 Its payload maps ``"flags"`` to the training flags, ``"chain"`` to the
 whitening chain, ``"lda"`` or ``"siamese"`` to the projection of the
 ``lda_cds`` or ``siam_cds`` recipe, and ``"svm"`` (``baseline_svm``) or
-``"models"`` (the cosine recipes) to the scorer. The artifact carries the
-fingerprint of the flags, which `load` verifies, and the recipe in the
-flags says which stage entries `load` reads.
+``"models"`` (the cosine recipes) to the scorer. Each stage entry is its
+dataclass's own fields, with arrays and tuples as JSON lists, nested
+dataclasses as objects, and a ``"type"`` tag (``"conv1d"`` or ``"dense"``)
+on each twin-network layer. The artifact carries the fingerprint of the
+flags, which `load` verifies, and the recipe in the flags says which stage
+entries `load` reads.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -31,9 +34,28 @@ RECIPES = ("baseline_svm", "cds", "lda_cds", "siam_cds")
 
 MODEL_FILE = "model.json"
 _LAYER_TYPES = {"conv1d": siamese.Conv1d, "dense": siamese.Dense}
+_LAYER_TAGS = {cls: tag for tag, cls in _LAYER_TYPES.items()}
+# the payload key of each projection and scorer type
+_STAGE_KEYS = {lda.LdaProjection: "lda", siamese.SiameseParams: "siamese",
+               svm.LinearSvmModel: "svm", dialect_model.DialectModelSet: "models"}
 
 Projection = Optional[Union[lda.LdaProjection, siamese.SiameseParams]]
 Scorer = Union[dialect_model.DialectModelSet, svm.LinearSvmModel]
+
+
+def _entry(value):
+    """JSON form of a stage: a dataclass becomes a dict of its own fields (a
+    twin-network layer also gets its ``"type"`` tag), arrays and tuples lists."""
+    if is_dataclass(value):
+        entry = {f.name: _entry(getattr(value, f.name)) for f in fields(value)}
+        if type(value) in _LAYER_TAGS:
+            entry["type"] = _LAYER_TAGS[type(value)]
+        return entry
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_entry(v) for v in value]
+    return value
 
 
 def _project(projection: Projection, vectors: np.ndarray) -> np.ndarray:
@@ -70,6 +92,8 @@ class Backend:
         recipe = flags["recipe"]
         if recipe not in RECIPES:
             raise ValidationError("unknown recipe %r (choose from %r)" % (recipe, RECIPES))
+        if flags["seed"] < 0:
+            raise ValidationError("seed must be >= 0, got %d" % flags["seed"])
         if (dev is not None) != flags["use_dev"]:
             raise ValidationError("a DEV set must be given exactly when use_dev is set")
         labels = flags["labels"]
@@ -126,31 +150,10 @@ class Backend:
 
     def save(self, model_dir, flags: dict) -> str:
         """Write ``<model_dir>/model.json``; returns the flags' fingerprint."""
-        chain, proj, scorer = self.chain, self.projection, self.scorer
-        payload = {"flags": flags, "chain": {
-            "fit_subsets": list(chain.fit_subsets),
-            "stages": [{"mean": st.mean.tolist(), "matrix": st.matrix.tolist()}
-                       for st in chain.stages],
-        }}
-        if isinstance(proj, lda.LdaProjection):
-            payload["lda"] = {"mean": proj.mean.tolist(), "basis": proj.basis.tolist()}
-        elif isinstance(proj, siamese.SiameseParams):
-            layers = [dict(asdict(layer), type="conv1d" if isinstance(layer, siamese.Conv1d)
-                           else "dense") for layer in proj.arch.layers]
-            payload["siamese"] = {
-                "arch": {"layers": layers, "input_dim": proj.arch.input_dim,
-                         "output_dim": proj.arch.output_dim},
-                "weights": [w.tolist() for w in proj.weights],
-                "biases": [b.tolist() for b in proj.biases],
-                "seed": proj.seed,
-            }
-        if isinstance(scorer, svm.LinearSvmModel):
-            payload["svm"] = {"labels": list(scorer.labels), "weights": scorer.weights.tolist(),
-                              "biases": scorer.biases.tolist(), "C": scorer.C}
-        else:
-            payload["models"] = {"labels": list(scorer.labels), "models": scorer.models.tolist(),
-                                 "provenance": asdict(scorer.provenance),
-                                 "n_per_dialect": list(scorer.n_per_dialect)}
+        payload = {"flags": flags, "chain": _entry(self.chain)}
+        if self.projection is not None:
+            payload[_STAGE_KEYS[type(self.projection)]] = _entry(self.projection)
+        payload[_STAGE_KEYS[type(self.scorer)]] = _entry(self.scorer)
         fingerprint = fileio.config_fingerprint(flags)
         model_dir = Path(model_dir)
         model_dir.mkdir(parents=True, exist_ok=True)
@@ -176,23 +179,17 @@ class Backend:
             if recipe not in RECIPES:
                 raise FormatError("%s: unknown recipe %r" % (path, recipe))
             entry = payload["chain"]
-            chain = whitening.WhiteningChain(
-                stages=[whitening.WhiteningStage(**st) for st in entry["stages"]],
-                fit_subsets=entry["fit_subsets"])
+            chain = whitening.WhiteningChain(**dict(
+                entry, stages=[whitening.WhiteningStage(**st) for st in entry["stages"]]))
             projection = None
             if recipe == "lda_cds":
                 projection = lda.LdaProjection(**payload["lda"])
             elif recipe == "siam_cds":
                 entry = payload["siamese"]
                 arch = entry["arch"]
-                layers = [_LAYER_TYPES[spec["type"]](**{k: v for k, v in spec.items()
-                                                         if k != "type"})
-                          for spec in arch["layers"]]
-                projection = siamese.SiameseParams(
-                    arch=siamese.SiameseArch(layers, arch["input_dim"], arch["output_dim"]),
-                    weights=[np.array(w, dtype=np.float64) for w in entry["weights"]],
-                    biases=[np.array(b, dtype=np.float64) for b in entry["biases"]],
-                    seed=entry["seed"])
+                layers = [_LAYER_TYPES[spec.pop("type")](**spec) for spec in arch["layers"]]
+                projection = siamese.SiameseParams(**dict(
+                    entry, arch=siamese.SiameseArch(**dict(arch, layers=layers))))
             if recipe == "baseline_svm":
                 scorer = svm.LinearSvmModel(**payload["svm"])
             else:

@@ -1,7 +1,9 @@
 """Text file formats: datasets, score tables, transcripts, configs, artifacts.
 
-All floats are written with repr so values round-trip exactly and repeated
-runs produce byte-identical files. Formats:
+Floats are written with repr, so values round-trip exactly and reruns
+write byte-identical files. The tab-separated formats share one reader:
+blank lines are skipped, and a row with the wrong field count is a
+FormatError ``path:line: expected ...``. Formats:
 
 * vector set   — line 1 ``dim=<d>``, then ``utt_id<TAB>label_or_-<TAB>``
                  followed by d space-separated decimals per line;
@@ -29,14 +31,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .data import Domain, IVectorSet, ScoreTable, Utterance
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 ARTIFACT_VERSION = 2
 UNLABELED = "-"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _read_text(path) -> str:
@@ -64,23 +62,46 @@ def write_whole(path, text: str) -> None:
         raise
 
 
+def _records(path, lines, n_fields: int, expected: str, first_line: int = 1):
+    """Yield (line number, tab-separated fields) per non-blank line; a line
+    without `n_fields` fields is a FormatError ``path:line: expected ...``."""
+    for ln, line in enumerate(lines, start=first_line):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise FormatError("%s:%d: expected %s" % (path, ln, expected))
+        yield ln, fields
+
+
+def _write_rows(path, head: str, keys, matrix: np.ndarray, sep: str) -> None:
+    """`head`, then one ``key<TAB>values`` line per row; values are repr'd
+    floats joined by `sep`, so they round-trip exactly."""
+    lines = [head] + ["%s\t%s" % (key, sep.join(map(repr, row.tolist())))
+                      for key, row in zip(keys, matrix)]
+    write_whole(path, "\n".join(lines) + "\n")
+
+
+def _parse_row(path, ln: int, tokens) -> np.ndarray:
+    try:
+        return np.array([float(x) for x in tokens], dtype=np.float64)
+    except ValueError:
+        raise FormatError("%s:%d: unparseable number" % (path, ln))
+
+
 # ---------------------------------------------------------------------------
 # vector sets
 # ---------------------------------------------------------------------------
 
 def save_ivector_set(dataset: IVectorSet, path) -> None:
-    lines = ["dim=%d" % dataset.dim]
-    for utt, row in zip(dataset.utterances, dataset.vectors):
-        label = utt.label if utt.label is not None else UNLABELED
-        lines.append("%s\t%s\t%s" % (utt.id, label, " ".join(_fmt(x) for x in row)))
-    write_whole(path, "\n".join(lines) + "\n")
+    keys = ["%s\t%s" % (u.id, UNLABELED if u.label is None else u.label)
+            for u in dataset.utterances]
+    _write_rows(path, "dim=%d" % dataset.dim, keys, dataset.vectors, " ")
 
 
 def _vector_rows(path, lines):
-    """(d, rows) of a vector set file; rows lazily yields (line, utt_id, label, tokens).
-
-    Checks the ``dim=<d>`` header, three fields and d values per row; parses no number.
-    """
+    """(d, rows) of a vector set file, checking its ``dim=<d>`` header; rows lazily
+    yields (line, (utt_id, label, tokens)) with d tokens each, parsing no number."""
     if not lines or not lines[0].startswith("dim="):
         raise FormatError("%s: first line must be dim=<d>" % path)
     try:
@@ -91,17 +112,13 @@ def _vector_rows(path, lines):
         raise FormatError("%s: dim must be positive, got %d" % (path, dim))
 
     def rows():
-        for ln, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError("%s:%d: expected utt_id<TAB>label<TAB>values" % (path, ln))
-            values = parts[2].split()
-            if len(values) != dim:
+        for ln, (utt_id, label, values) in _records(
+                path, lines[1:], 3, "utt_id<TAB>label<TAB>values", first_line=2):
+            tokens = values.split()
+            if len(tokens) != dim:
                 raise FormatError("%s:%d: expected %d values, got %d"
-                                  % (path, ln, dim, len(values)))
-            yield ln, parts[0], parts[1], values
+                                  % (path, ln, dim, len(tokens)))
+            yield ln, (utt_id, label, tokens)
 
     return dim, rows()
 
@@ -109,13 +126,9 @@ def _vector_rows(path, lines):
 def load_ivector_set(path, domain: Domain = Domain.TST) -> IVectorSet:
     """Read a vector set file; the split is implied by the file, not stored in it."""
     dim, entries = _vector_rows(path, _read_text(path).splitlines())
-    utts = []
-    rows = []
-    for ln, utt_id, label, values in entries:
-        try:
-            rows.append(np.array([float(x) for x in values], dtype=np.float64))
-        except ValueError:
-            raise FormatError("%s:%d: unparseable vector entries" % (path, ln))
+    utts, rows = [], []
+    for ln, (utt_id, label, tokens) in entries:
+        rows.append(_parse_row(path, ln, tokens))
         utts.append(Utterance(id=utt_id, domain=domain,
                               label=None if label == UNLABELED else label))
     matrix = np.vstack(rows) if rows else np.empty((0, dim))
@@ -127,10 +140,8 @@ def load_ivector_set(path, domain: Domain = Domain.TST) -> IVectorSet:
 # ---------------------------------------------------------------------------
 
 def save_score_table(table: ScoreTable, path) -> None:
-    lines = ["%s\t%s" % (table.system_id, "\t".join(table.labels))]
-    for utt, row in zip(table.utt_ids, table.scores):
-        lines.append("%s\t%s" % (utt, "\t".join(_fmt(x) for x in row)))
-    write_whole(path, "\n".join(lines) + "\n")
+    _write_rows(path, "\t".join((table.system_id,) + table.labels), table.utt_ids,
+                table.scores, "\t")
 
 
 def load_score_table(path) -> ScoreTable:
@@ -141,20 +152,12 @@ def load_score_table(path) -> ScoreTable:
     if len(head) < 2:
         raise FormatError("%s: header must be system_id<TAB>labels..." % path)
     system_id, labels = head[0], tuple(head[1:])
-    utt_ids = []
-    rows = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 1 + len(labels):
-            raise FormatError("%s:%d: expected %d scores" % (path, ln, len(labels)))
-        utt_ids.append(parts[0])
-        try:
-            rows.append([float(x) for x in parts[1:]])
-        except ValueError:
-            raise FormatError("%s:%d: unparseable score" % (path, ln))
-    scores = np.array(rows) if rows else np.empty((0, len(labels)))
+    utt_ids, rows = [], []
+    for ln, fields in _records(path, lines[1:], 1 + len(labels),
+                               "%d scores" % len(labels), first_line=2):
+        utt_ids.append(fields[0])
+        rows.append(_parse_row(path, ln, fields[1:]))
+    scores = np.vstack(rows) if rows else np.empty((0, len(labels)))
     return ScoreTable(system_id=system_id, labels=labels, utt_ids=tuple(utt_ids),
                       scores=scores)
 
@@ -166,15 +169,9 @@ def load_score_table(path) -> ScoreTable:
 def load_transcripts(path, source: str = "word"):
     from .text_features import Transcript
 
-    out = []
-    for ln, line in enumerate(_read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError("%s:%d: expected utt_id<TAB>tokens" % (path, ln))
-        out.append(Transcript(utt_id=parts[0], tokens=tuple(parts[1].split()), source=source))
-    return out
+    return [Transcript(utt_id=utt_id, tokens=tuple(tokens.split()), source=source)
+            for _, (utt_id, tokens) in _records(path, _read_text(path).splitlines(), 2,
+                                                "utt_id<TAB>tokens")]
 
 
 def save_transcripts(transcripts, path) -> None:
@@ -183,20 +180,22 @@ def save_transcripts(transcripts, path) -> None:
 
 
 def load_labels(path) -> dict[str, str]:
-    """utt_id -> label, from a 2-column TSV or from a labeled vector set file."""
+    """utt_id -> label, from a 2-column TSV or from a labeled vector set file.
+
+    A vector set's unlabeled rows are skipped. An utterance id on two rows
+    is a ValidationError that names the id and the second row's line.
+    """
     lines = _read_text(path).splitlines()
-    if lines and lines[0].startswith("dim="):
-        out = {utt: label for _, utt, label, _ in _vector_rows(path, lines)[1]
-               if label != UNLABELED}
-    else:
-        out = {}
-        for ln, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError("%s:%d: expected utt_id<TAB>label" % (path, ln))
-            out[parts[0]] = parts[1]
+    vector_set = bool(lines) and lines[0].startswith("dim=")
+    rows = (_vector_rows(path, lines)[1] if vector_set
+            else _records(path, lines, 2, "utt_id<TAB>label"))
+    out: dict[str, str] = {}
+    for ln, (utt, label, *_) in rows:
+        if utt in out:
+            raise ValidationError("%s:%d: duplicate utterance id %r" % (path, ln, utt))
+        out[utt] = label
+    if vector_set:
+        out = {utt: label for utt, label in out.items() if label != UNLABELED}
     if not out:
         raise FormatError("%s: no labels found" % path)
     return out

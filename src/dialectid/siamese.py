@@ -142,8 +142,9 @@ class SiameseParams:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "biases", tuple(self.biases))
+        for name in ("weights", "biases"):
+            object.__setattr__(self, name, tuple(np.asarray(a, dtype=np.float64)
+                                                 for a in getattr(self, name)))
         if len(self.weights) != len(self.arch.layers) or len(self.biases) != len(self.arch.layers):
             raise ValidationError("parameter count does not match layer count")
         for i, (layer, w, b) in enumerate(zip(self.arch.layers, self.weights, self.biases)):
@@ -294,13 +295,14 @@ def sample_pairs(
         raise ValidationError("n_pairs must be nonnegative")
     if not 0.0 <= positive_fraction <= 1.0:
         raise ValidationError("positive_fraction must lie in [0, 1]")
-    if not (math.isfinite(dev_emphasis) and dev_emphasis >= 0.0):
-        raise ValidationError("dev_emphasis must be finite and nonnegative, got %r"
-                              % (dev_emphasis,))
 
     labeled = np.flatnonzero([u.label is not None for u in data.utterances])
     if not labeled.size:
         raise ValidationError("pair sampling needs labeled utterances")
+    # in Python floats, which overflow to inf without a numpy warning
+    if not (dev_emphasis >= 0.0 and math.isfinite((1.0 + float(dev_emphasis)) * labeled.size)):
+        raise ValidationError("dev_emphasis must be nonnegative and keep the weights of %d "
+                              "labeled rows finite, got %r" % (labeled.size, dev_emphasis))
     lab = np.array([data.utterances[i].label for i in labeled])
     labels = sorted(set(lab.tolist()))
     n_pos = int(round(n_pairs * positive_fraction))

@@ -270,6 +270,20 @@ class TestCalibrateFuseAndEvaluate:
         assert "macro_precision=100.000000" in out
         assert "macro_recall=100.000000" in out
 
+    @pytest.mark.parametrize("name, text, line", [
+        ("labels.tsv", "u1\tA\nu2\tB\n\nu1\tB\n", 4),
+        ("labels.ivec", "dim=1\nu1\tA\t0.5\nu2\tB\t1.5\n\nu1\tB\t2.5\n", 5),
+    ], ids=["tsv", "ivec"])
+    def test_duplicate_label_id_exits_2(self, tmp_path, capsys, name, text, line):
+        labels = tmp_path / name
+        labels.write_text(text)
+        scores = tmp_path / "s.scores"
+        scores.write_text("sys\tA\tB\nu1\t1.0\t0.0\nu2\t0.0\t1.0\n")
+        capsys.readouterr()
+        assert run("evaluate", "--scores", scores, "--labels", labels) == 2
+        assert only_stderr_line(capsys) == (
+            "validation error: %s:%d: duplicate utterance id 'u1'" % (labels, line))
+
     def test_missing_labels_rejected(self, tmp_path):
         labels = tmp_path / "labels.tsv"
         labels.write_text("u1\tA\n")
@@ -410,9 +424,14 @@ class TestOutOfRangeFlagValues:
         SVM_TRAIN + ("--svm-c", "inf"),
         SVM_TRAIN + ("--svm-c", "nan"),
         SVM_TRAIN + ("--svm-epochs", "100000000000000000000"),
+        SVM_TRAIN + ("--seed", -1),
+        SIAM_TRAIN + ("--seed", -1),
+        ("train", "--recipe", "cds", "--seed", -1),
+        SIAM_TRAIN + ("--use-dev", "--dev-emphasis", "1e308"),
     ], ids=["siam-out-dim-negative", "siam-out-dim-zero", "dev-emphasis-nan",
             "dev-emphasis-inf", "synth-seed-flag", "synth-seed-config", "svm-c-inf",
-            "svm-c-nan", "svm-epochs-huge"])
+            "svm-c-nan", "svm-epochs-huge", "svm-seed-negative", "siam-seed-negative",
+            "cds-seed-negative", "dev-emphasis-overflows"])
     def test_exits_2_with_one_line(self, tiny_data, tmp_path, capsys, argv):
         (tmp_path / "negative-seed.cfg").write_text("dim=8\nseed=-1\n")
         argv = [tmp_path / a if a == "negative-seed.cfg" else a for a in argv]

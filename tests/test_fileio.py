@@ -1,7 +1,13 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dialectid.data import Domain, ScoreTable, validate_dataset
+from dialectid.data import Domain, IVectorSet, ScoreTable, Utterance, validate_dataset
 from dialectid.errors import FormatError
 from dialectid.fileio import (
     config_fingerprint,
@@ -176,3 +182,104 @@ class TestArtifacts:
 
     def test_fingerprint_stable_across_key_order(self):
         assert config_fingerprint({"a": 1, "b": 2}) == config_fingerprint({"b": 2, "a": 1})
+
+
+# values the row codec must carry bit for bit: signed zeros, subnormals and
+# the largest finite magnitudes
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.7976931348623157e308]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+NAMES = st.text(alphabet="abcXYZ019_.:", min_size=1, max_size=6)
+BLANKS = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+def insert_blank_lines(data, path, first):
+    """Rewrite `path` with blank lines drawn into it anywhere from line index `first` on."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for _ in range(data.draw(st.integers(0, 4))):
+        lines.insert(data.draw(st.integers(first, len(lines))), data.draw(BLANKS))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert a.tobytes() == b.tobytes()  # tells -0.0 from 0.0
+
+
+def draw_matrix(data, n, d):
+    return np.array(data.draw(st.lists(FLOATS, min_size=n * d, max_size=n * d)),
+                    dtype=np.float64).reshape(n, d)
+
+
+class TestSharedRecordReader:
+    """Every tab-separated format round-trips exactly through the one reader."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_vector_set_round_trip(self, data):
+        n, d = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 4))
+        ids = data.draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+        labels = data.draw(st.lists(st.none() | NAMES, min_size=n, max_size=n))
+        original = IVectorSet(tuple(Utterance(i, Domain.DEV, lab) for i, lab in zip(ids, labels)),
+                              draw_matrix(data, n, d))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.ivec"
+            save_ivector_set(original, path)
+            insert_blank_lines(data, path, first=1)
+            back = load_ivector_set(path, domain=Domain.DEV)
+        assert back.utterances == original.utterances
+        assert_bitwise_equal(back.vectors, original.vectors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_score_table_round_trip(self, data):
+        n, k = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 4))
+        original = ScoreTable(data.draw(NAMES),
+                              data.draw(st.lists(NAMES, min_size=k, max_size=k, unique=True)),
+                              data.draw(st.lists(NAMES, min_size=n, max_size=n, unique=True)),
+                              draw_matrix(data, n, k))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.scores"
+            save_score_table(original, path)
+            insert_blank_lines(data, path, first=1)
+            back = load_score_table(path)
+        assert (back.system_id, back.labels, back.utt_ids) == (
+            original.system_id, original.labels, original.utt_ids)
+        assert_bitwise_equal(back.scores, original.scores)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_label_tsv_round_trip(self, data):
+        labels = data.draw(st.dictionaries(NAMES, NAMES, min_size=1, max_size=6))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.tsv"
+            path.write_text("".join("%s\t%s\n" % kv for kv in labels.items()))
+            insert_blank_lines(data, path, first=0)
+            assert load_labels(path) == labels
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_transcripts_round_trip(self, data):
+        docs = [Transcript(utt_id, tuple(tokens)) for utt_id, tokens in data.draw(
+            st.lists(st.tuples(NAMES, st.lists(NAMES, max_size=4)), max_size=5))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "words.tsv"
+            save_transcripts(docs, path)
+            insert_blank_lines(data, path, first=0)
+            assert load_transcripts(path) == docs
+
+    @pytest.mark.parametrize("loader, text, line", [
+        (load_ivector_set, "dim=2\nu1\tA\t1.0 2.0\n\nu2\t3.0 4.0\n", 4),
+        (load_ivector_set, "dim=2\nu1\tA\t1.0 2.0\tx\n", 2),
+        (load_score_table, "sys\tA\tB\nu1\t1.0\t0.0\n\nu2\t0.5\n", 4),
+        (load_score_table, "sys\tA\tB\nu1\t1.0\t0.0\t0.0\n", 2),
+        (load_labels, "u1\tA\n\nu2\tB\tC\n", 3),
+        (load_labels, "u1\n", 1),
+        (load_transcripts, "u1\ta b\n\nu2\n", 3),
+        (load_transcripts, "u1\ta\tb\n", 1),
+    ], ids=["ivec-few", "ivec-many", "scores-few", "scores-many", "labels-many", "labels-few",
+            "transcripts-few", "transcripts-many"])
+    def test_wrong_field_count_names_its_line(self, tmp_path, loader, text, line):
+        path = tmp_path / "bad"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="^%s:%d: expected " % (re.escape(str(path)), line)):
+            loader(path)
