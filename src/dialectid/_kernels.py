@@ -14,35 +14,59 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def _windows(x, kernel, stride):
-    # (B, C, L) -> (B, C, T, K) view of the strided convolution windows
-    win = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=2)
-    return win[:, :, ::stride, :]
+def _columns(x, kernel, stride, t_out):
+    """(K*Cin, B*T) column matrix of x (B, Cin, L): row k*Cin + c, column b*T + t
+    holds x[b, c, t*stride + k]. Built with K strided-slice copies."""
+    bsz, cin, _ = x.shape
+    xt = x.transpose(1, 0, 2)
+    span = stride * (t_out - 1) + 1
+    cols = np.empty((kernel, cin, bsz, t_out))
+    for k in range(kernel):
+        cols[k] = xt[:, :, k:k + span:stride]
+    return cols.reshape(kernel * cin, bsz * t_out)
+
+
+def _weight_matrix(w):
+    # (Cout, Cin, K) -> (Cout, K*Cin), matching the rows of _columns
+    cout, cin, kernel = w.shape
+    return w.transpose(0, 2, 1).reshape(cout, kernel * cin)
 
 
 def conv1d_forward(x, w, b, stride):
-    """Valid 1-D convolution. x (B,Cin,L), w (Cout,Cin,K), b (Cout,) -> (B,Cout,T)."""
-    win = _windows(x, w.shape[2], stride)
-    return np.einsum("ock,bctk->bot", w, win, optimize=True) + b[None, :, None]
+    """Valid 1-D convolution. x (B,Cin,L), w (Cout,Cin,K), b (Cout,) -> (B,Cout,T).
+
+    One GEMM of the (Cout, K*Cin) weights with the column matrix. The result
+    is laid out channel-major in memory, (Cout, B, T) transposed, so the next
+    layer's column matrix and the backward pass's gout reshape need no copy.
+    """
+    cout, _, kernel = w.shape
+    bsz, _, length = x.shape
+    t_out = (length - kernel) // stride + 1
+    z = _weight_matrix(w) @ _columns(x, kernel, stride, t_out)
+    return z.reshape(cout, bsz, t_out).transpose(1, 0, 2) + b[None, :, None]
 
 
 def conv1d_backward(x, w, stride, gout):
     """Gradients of conv1d_forward wrt input, weights and bias.
 
     gout is the (B,Cout,T) upstream gradient; dw and db are summed over the
-    batch, dx matches x.
+    batch, dx matches x. dw is one GEMM of gout with the column matrix; dx
+    spreads the GEMM of the weights with gout back with K strided-slice adds.
     """
-    kernel = w.shape[2]
-    win = _windows(x, kernel, stride)
-    dw = np.einsum("bot,bctk->ock", gout, win, optimize=True)
-    db = gout.sum(axis=(0, 2))
-    dx = np.zeros_like(x)
-    spread = np.einsum("bot,ock->bctk", gout, w, optimize=True)
-    pos = stride * np.arange(gout.shape[2])
+    cout, cin, kernel = w.shape
+    bsz, _, length = x.shape
+    t_out = gout.shape[2]
+    g2 = gout.transpose(1, 0, 2).reshape(cout, bsz * t_out)
+    dw = g2 @ _columns(x, kernel, stride, t_out).T
+    dw = dw.reshape(cout, kernel, cin).transpose(0, 2, 1)
+    db = g2.sum(axis=1)
+    spread = (_weight_matrix(w).T @ g2).reshape(kernel, cin, bsz, t_out)
+    dx = np.zeros((cin, bsz, length))
+    span = stride * (t_out - 1) + 1
     for k in range(kernel):
         # for fixed k the window positions are distinct, so += is safe
-        dx[:, :, pos + k] += spread[:, :, :, k]
-    return dx, dw, db
+        dx[:, :, k:k + span:stride] += spread[k]
+    return dx.transpose(1, 0, 2), dw, db
 
 
 def svm_epochs(data, indices, indptr, dim, Y, order, C):

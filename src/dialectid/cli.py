@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration, dialect_model, fileio, svm
+from . import calibration, dialect_model, fileio, siamese, svm
 from .backend import RECIPES, Backend
 from .data import Domain, IVectorSet, ScoreTable, validate_dataset
 from .errors import DialectIdError, FormatError, NumericError, ValidationError
@@ -198,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="epochs x training rows must be at most %d" % svm.MAX_STEPS)
     p.add_argument("--siam-out-dim", type=int, default=None)
     p.add_argument("--siam-epochs", type=int, default=15)
-    p.add_argument("--siam-pairs", type=int, default=3000)
+    p.add_argument("--siam-pairs", type=int, default=3000,
+                   help="pairs and siam-epochs x pairs must each be at most %d"
+                   % siamese.MAX_PAIR_STEPS)
     p.add_argument("--dev-emphasis", type=float, default=0.0)
     p.set_defaults(func=cmd_train)
 

@@ -18,7 +18,9 @@ FormatError ``path:line: expected ...``. Formats:
                  kind and hands the fingerprint to the caller to verify.
 
 Every writer goes through `write_whole`, so a file is either left as it was
-or replaced by the complete new text, never half-written.
+or replaced by the complete new text, never half-written. A writer refuses,
+before it writes, an id, label, system id or label name that holds a tab or
+a `str.splitlines` separator, since the readers would split it.
 """
 from __future__ import annotations
 
@@ -74,11 +76,24 @@ def _records(path, lines, n_fields: int, expected: str, first_line: int = 1):
         yield ln, fields
 
 
-def _write_rows(path, head: str, keys, matrix: np.ndarray, sep: str) -> None:
-    """`head`, then one ``key<TAB>values`` line per row; values are repr'd
-    floats joined by `sep`, so they round-trip exactly."""
-    lines = [head] + ["%s\t%s" % (key, sep.join(map(repr, row.tolist())))
-                      for key, row in zip(keys, matrix)]
+def _join_fields(path, fields) -> str:
+    """Tab-join text fields. A field the readers would split, one holding a tab
+    or a `str.splitlines` separator, is a ValidationError that names it."""
+    for f in fields:
+        # the appended "x" makes a trailing separator split off a second line too
+        if "\t" in f or len((f + "x").splitlines()) > 1:
+            raise ValidationError("%s: %r holds a tab or a line break, so it cannot be "
+                                  "read back" % (path, f))
+    return "\t".join(fields)
+
+
+def _write_rows(path, head, keys, matrix: np.ndarray, sep: str) -> None:
+    """The `head` fields, then one ``key fields<TAB>values`` line per row;
+    values are repr'd floats joined by `sep`, so they round-trip exactly.
+    Every field is checked before anything is written."""
+    lines = [_join_fields(path, head)] + [
+        "%s\t%s" % (_join_fields(path, key), sep.join(map(repr, row.tolist())))
+        for key, row in zip(keys, matrix)]
     write_whole(path, "\n".join(lines) + "\n")
 
 
@@ -94,9 +109,12 @@ def _parse_row(path, ln: int, tokens) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_ivector_set(dataset: IVectorSet, path) -> None:
-    keys = ["%s\t%s" % (u.id, UNLABELED if u.label is None else u.label)
-            for u in dataset.utterances]
-    _write_rows(path, "dim=%d" % dataset.dim, keys, dataset.vectors, " ")
+    """Write a vector set; a label equal to the unlabeled marker is a ValidationError."""
+    if any(u.label == UNLABELED for u in dataset.utterances):
+        raise ValidationError("%s: label %r is the unlabeled marker, so it cannot be read "
+                              "back" % (path, UNLABELED))
+    keys = [(u.id, UNLABELED if u.label is None else u.label) for u in dataset.utterances]
+    _write_rows(path, ("dim=%d" % dataset.dim,), keys, dataset.vectors, " ")
 
 
 def _vector_rows(path, lines):
@@ -140,7 +158,7 @@ def load_ivector_set(path, domain: Domain = Domain.TST) -> IVectorSet:
 # ---------------------------------------------------------------------------
 
 def save_score_table(table: ScoreTable, path) -> None:
-    _write_rows(path, "\t".join((table.system_id,) + table.labels), table.utt_ids,
+    _write_rows(path, (table.system_id,) + table.labels, [(u,) for u in table.utt_ids],
                 table.scores, "\t")
 
 
@@ -175,7 +193,8 @@ def load_transcripts(path, source: str = "word"):
 
 
 def save_transcripts(transcripts, path) -> None:
-    lines = ["%s\t%s" % (t.utt_id, " ".join(t.tokens)) for t in transcripts]
+    lines = ["%s\t%s" % (_join_fields(path, (t.utt_id,)), " ".join(t.tokens))
+             for t in transcripts]
     write_whole(path, "\n".join(lines) + "\n")
 
 

@@ -20,6 +20,9 @@ from .data import Domain, IVectorSet
 from .errors import NumericError, ValidationError
 
 ZERO_EMBEDDING_EPS = 1e-12
+# cap on n_pairs and on epochs x n_pairs: the pair tables take 24 B a pair and each
+# epoch's shuffle 8 B (320 MB at the cap), and a pair step costs about 0.25 ms at dim 400
+MAX_PAIR_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -219,7 +222,7 @@ def _backward(params: SiameseParams, caches, d_embed):
             g = g @ params.weights[idx]
         else:
             g, grads_w[idx], grads_b[idx] = _kernels.conv1d_backward(
-                x_in, params.weights[idx], layer.stride, np.ascontiguousarray(g))
+                x_in, params.weights[idx], layer.stride, g)
     return grads_w, grads_b
 
 
@@ -354,6 +357,10 @@ class TrainConfig:
             raise ValidationError("epochs, batch_size and n_pairs must be positive")
         if self.learning_rate < 0 or not 0.0 <= self.momentum < 1.0:
             raise ValidationError("bad learning_rate/momentum")
+        if max(self.n_pairs, self.epochs * self.n_pairs) > MAX_PAIR_STEPS:
+            raise ValidationError("n_pairs %d and epochs x n_pairs = %d x %d must each be at "
+                                  "most %d" % (self.n_pairs, self.epochs, self.n_pairs,
+                                               MAX_PAIR_STEPS))
 
 
 def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
@@ -376,6 +383,7 @@ def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
     arrays = [a.copy() for a in params.weights + params.biases]  # weights, then biases
     velocity = [np.zeros_like(a) for a in arrays]
     history: list[float] = []
+    # holds `arrays` themselves, so the in-place steps below update it
     current = params.replace_arrays(arrays[:n_layers], arrays[n_layers:])
     for _ in range(config.epochs):
         order = rng.permutation(len(y))
@@ -390,12 +398,12 @@ def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
                 raise NumericError(str(err), history=history) from err
             total += loss * len(batch)
             counted += len(batch)
-            for i, g in enumerate(gw + gb):
-                velocity[i] = config.momentum * velocity[i] - config.learning_rate * g
-                arrays[i] = arrays[i] + velocity[i]
-            current = current.replace_arrays(arrays[:n_layers], arrays[n_layers:])
+            for a, v, g in zip(arrays, velocity, gw + gb):
+                v *= config.momentum
+                v -= config.learning_rate * g
+                a += v
         epoch_loss = total / counted if counted else 0.0
         if not np.isfinite(epoch_loss):
             raise NumericError("training diverged (non-finite epoch loss)", history=history)
         history.append(epoch_loss)
-    return current, history
+    return params.replace_arrays(arrays[:n_layers], arrays[n_layers:]), history

@@ -428,10 +428,14 @@ class TestOutOfRangeFlagValues:
         SIAM_TRAIN + ("--seed", -1),
         ("train", "--recipe", "cds", "--seed", -1),
         SIAM_TRAIN + ("--use-dev", "--dev-emphasis", "1e308"),
+        ("train", "--recipe", "siam_cds", "--siam-pairs", 10000000000000),
+        ("train", "--recipe", "siam_cds", "--siam-epochs", 3334, "--siam-pairs", 3000),
+        ("train", "--recipe", "siam_cds", "--siam-epochs", 0, "--siam-pairs", 10000001),
     ], ids=["siam-out-dim-negative", "siam-out-dim-zero", "dev-emphasis-nan",
             "dev-emphasis-inf", "synth-seed-flag", "synth-seed-config", "svm-c-inf",
             "svm-c-nan", "svm-epochs-huge", "svm-seed-negative", "siam-seed-negative",
-            "cds-seed-negative", "dev-emphasis-overflows"])
+            "cds-seed-negative", "dev-emphasis-overflows", "siam-pairs-huge",
+            "siam-epochs-times-pairs-over-cap", "siam-pairs-over-cap-zero-epochs"])
     def test_exits_2_with_one_line(self, tiny_data, tmp_path, capsys, argv):
         (tmp_path / "negative-seed.cfg").write_text("dim=8\nseed=-1\n")
         argv = [tmp_path / a if a == "negative-seed.cfg" else a for a in argv]

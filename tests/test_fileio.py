@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialectid.data import Domain, IVectorSet, ScoreTable, Utterance, validate_dataset
-from dialectid.errors import FormatError
+from dialectid.errors import FormatError, ValidationError
 from dialectid.fileio import (
     config_fingerprint,
     load_artifact,
@@ -283,3 +283,63 @@ class TestSharedRecordReader:
         path.write_text(text)
         with pytest.raises(FormatError, match="^%s:%d: expected " % (re.escape(str(path)), line)):
             loader(path)
+
+
+# any text, with the tab and every str.splitlines separator drawn often
+FIELD_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")), max_size=5)
+
+
+def round_trips_or_is_refused(save, load, original, path, view=lambda x: x):
+    """`save` then `load` gives back `original` as seen through `view`, or
+    `save` raises a ValidationError and leaves `path` absent."""
+    try:
+        save(original, path)
+    except ValidationError:
+        assert not path.exists()
+        return
+    assert view(load(path)) == view(original)
+
+
+class TestWritersRefuseUnreadableFields:
+    """A text field the readers would split is refused before anything is written."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(utt_id=FIELD_TEXT, label=st.none() | FIELD_TEXT)
+    def test_vector_set_id_and_label(self, utt_id, label):
+        original = IVectorSet((Utterance(utt_id, Domain.TST, label),), np.array([[1.5, -2.0]]))
+        with tempfile.TemporaryDirectory() as tmp:
+            round_trips_or_is_refused(save_ivector_set, load_ivector_set, original,
+                                      Path(tmp) / "x.ivec", lambda d: d.utterances)
+
+    @settings(max_examples=150, deadline=None)
+    @given(names=st.lists(FIELD_TEXT, min_size=3, max_size=3, unique=True))
+    def test_score_table_names(self, names):
+        system_id, label, utt_id = names
+        # distinct draws, so the label and the utterance id cannot collide with each other
+        original = ScoreTable(system_id, (label,), (utt_id,), np.array([[0.25]]))
+        with tempfile.TemporaryDirectory() as tmp:
+            round_trips_or_is_refused(
+                save_score_table, load_score_table, original, Path(tmp) / "x.scores",
+                lambda t: (t.system_id, t.labels, t.utt_ids, t.scores.tolist()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(utt_id=FIELD_TEXT)
+    def test_transcript_id(self, utt_id):
+        original = [Transcript(utt_id, ("w1", "w2"))]
+        with tempfile.TemporaryDirectory() as tmp:
+            round_trips_or_is_refused(save_transcripts, load_transcripts, original,
+                                      Path(tmp) / "words.tsv")
+
+    @pytest.mark.parametrize("utt_id", ["u\x1c1", "u\t1", "u\n1"])
+    def test_score_table_error_names_the_id(self, tmp_path, utt_id):
+        table = ScoreTable("sys", ("A",), (utt_id,), np.array([[0.5]]))
+        with pytest.raises(ValidationError, match=re.escape(repr(utt_id))):
+            save_score_table(table, tmp_path / "x.scores")
+        assert not (tmp_path / "x.scores").exists()
+
+    def test_unlabeled_marker_as_label_is_refused(self, tmp_path):
+        dataset = IVectorSet((Utterance("u1", Domain.TST, "-"),), np.array([[1.0]]))
+        with pytest.raises(ValidationError, match="unlabeled marker"):
+            save_ivector_set(dataset, tmp_path / "x.ivec")
+        assert not (tmp_path / "x.ivec").exists()

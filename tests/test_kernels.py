@@ -103,6 +103,42 @@ class TestNumpyPathAgainstBruteForce:
             assert abs(b[k] - b_ref) < 1e-10
 
 
+class TestConvAgainstBruteForce:
+    """Property form of the fixed-shape checks: every valid shape, including
+    K == L, stride > K and an empty batch (which forward_batch relies on)."""
+
+    @staticmethod
+    def draw_case(data):
+        bsz = data.draw(st.integers(0, 4), label="B")
+        cin = data.draw(st.integers(1, 5), label="Cin")
+        cout = data.draw(st.integers(1, 5), label="Cout")
+        length = data.draw(st.integers(1, 12), label="L")
+        kernel = data.draw(st.integers(1, length), label="K")
+        stride = data.draw(st.integers(1, kernel + 2), label="stride")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        t_out = (length - kernel) // stride + 1
+        return (rng.normal(size=(bsz, cin, length)), rng.normal(size=(cout, cin, kernel)),
+                rng.normal(size=cout), stride, rng.normal(size=(bsz, cout, t_out)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_forward(self, data):
+        x, w, b, stride, _ = self.draw_case(data)
+        got = _kernels.conv1d_forward(x, w, b, stride)
+        np.testing.assert_allclose(got, conv_forward_bruteforce(x, w, b, stride),
+                                   rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_backward(self, data):
+        x, w, _, stride, g = self.draw_case(data)
+        got = _kernels.conv1d_backward(x, w, stride, g)
+        assert got[0].shape == x.shape
+        for a, e in zip(got, conv_backward_bruteforce(x, w, stride, g)):
+            assert a.shape == e.shape
+            np.testing.assert_allclose(a, e, rtol=1e-12, atol=1e-12)
+
+
 def csr_args(X):
     csr = scipy.sparse.csr_matrix(X)
     return csr.data, csr.indices, csr.indptr, X.shape[1]
