@@ -7,16 +7,17 @@ embedding), then a scorer (cosine dialect models or a linear SVM).
 Training and scoring both go through this object, so the order is written
 once, and `save`/`load` are the only code that knows the artifact payload.
 
-A model directory holds one artifact, ``model.json`` (kind ``"model"``).
-Its payload maps ``"flags"`` to the training flags, ``"chain"`` to the
+A model directory holds one artifact, ``model.json`` (kind ``"model"``),
+and its array sidecar ``model.f64`` (see `fileio.save_artifact`). The
+payload maps ``"flags"`` to the training flags, ``"chain"`` to the
 whitening chain, ``"lda"`` or ``"siamese"`` to the projection of the
 ``lda_cds`` or ``siam_cds`` recipe, and ``"svm"`` (``baseline_svm``) or
 ``"models"`` (the cosine recipes) to the scorer. Each stage entry is its
-dataclass's own fields, with arrays and tuples as JSON lists, nested
-dataclasses as objects, and a ``"type"`` tag (``"conv1d"`` or ``"dense"``)
-on each twin-network layer. The artifact carries the fingerprint of the
-flags, which `load` verifies, and the recipe in the flags says which stage
-entries `load` reads.
+dataclass's own fields, with tuples as JSON lists, arrays as references
+into the sidecar, nested dataclasses as objects, and a ``"type"`` tag
+(``"conv1d"`` or ``"dense"``) on each twin-network layer. The artifact
+carries the fingerprint of the flags, which `load` verifies, and the
+recipe in the flags says which stage entries `load` reads.
 """
 from __future__ import annotations
 
@@ -44,15 +45,14 @@ Scorer = Union[dialect_model.DialectModelSet, svm.LinearSvmModel]
 
 
 def _entry(value):
-    """JSON form of a stage: a dataclass becomes a dict of its own fields (a
-    twin-network layer also gets its ``"type"`` tag), arrays and tuples lists."""
+    """Artifact form of a stage: a dataclass becomes a dict of its own fields (a
+    twin-network layer also gets its ``"type"`` tag) and a tuple a list; arrays
+    stay arrays, which `fileio.save_artifact` moves to the sidecar."""
     if is_dataclass(value):
         entry = {f.name: _entry(getattr(value, f.name)) for f in fields(value)}
         if type(value) in _LAYER_TAGS:
             entry["type"] = _LAYER_TAGS[type(value)]
         return entry
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     if isinstance(value, tuple):
         return [_entry(v) for v in value]
     return value
@@ -149,7 +149,7 @@ class Backend:
         return labels, dialect_model.cds_score(self.scorer, vectors)
 
     def save(self, model_dir, flags: dict) -> str:
-        """Write ``<model_dir>/model.json``; returns the flags' fingerprint."""
+        """Write ``<model_dir>/model.json`` and its sidecar; returns the flags' fingerprint."""
         payload = {"flags": flags, "chain": _entry(self.chain)}
         if self.projection is not None:
             payload[_STAGE_KEYS[type(self.projection)]] = _entry(self.projection)
@@ -165,8 +165,11 @@ class Backend:
         """Read ``<model_dir>/model.json``; returns (backend, training flags, fingerprint).
 
         A fingerprint that does not match the flags, an unknown recipe, a
-        stage entry the recipe needs but the file lacks, or a wrong-typed
-        entry raises FormatError.
+        stage entry the recipe needs but the file lacks, a wrong-typed
+        entry, scorer labels other than the flags' ``labels``, or a first
+        whitening stage whose dim is not the flags' ``dim`` raises
+        FormatError, as does every sidecar fault `fileio.load_artifact`
+        finds.
         """
         path = Path(model_dir) / MODEL_FILE
         payload, stored = fileio.load_artifact(path, "model")
@@ -196,7 +199,14 @@ class Backend:
                 entry = payload["models"]
                 scorer = dialect_model.DialectModelSet(**dict(
                     entry, provenance=dialect_model.ModelProvenance(**entry["provenance"])))
-        except (KeyError, TypeError, ValueError, AttributeError, ValidationError) as err:
+            backend = cls(chain, projection, scorer)
+            if list(scorer.labels) != flags["labels"]:
+                raise FormatError("%s: scorer labels %r are not the flags' labels %r"
+                                  % (path, list(scorer.labels), flags["labels"]))
+            if backend.dim != flags["dim"]:
+                raise FormatError("%s: whitening dim %d is not the flags' dim %r"
+                                  % (path, backend.dim, flags["dim"]))
+        except (LookupError, TypeError, ValueError, AttributeError, ValidationError) as err:
             raise FormatError("%s: malformed model (%s: %s)"
                               % (path, type(err).__name__, err)) from err
-        return cls(chain, projection, scorer), flags, fingerprint
+        return backend, flags, fingerprint

@@ -3,7 +3,8 @@
 Every subcommand is deterministic given its inputs and seed; rerunning a
 command writes byte-identical files, and every file is written whole (see
 `fileio.write_whole`). A model directory's ``model.json`` carries the
-fingerprint of the training flags, which scoring verifies before trusting it.
+fingerprint of the training flags, which scoring verifies before trusting it,
+and the size and sha256 of its array sidecar ``model.f64``.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric failure, 4 I/O or
 format failure.
@@ -47,8 +48,8 @@ def cmd_synth(args) -> int:
         out / "ground_truth.json", "ground_truth", fingerprint,
         {
             "labels": list(data.labels),
-            "dialect_means": data.dialect_means.tolist(),
-            "channel_offset": data.channel_offset.tolist(),
+            "dialect_means": data.dialect_means,
+            "channel_offset": data.channel_offset,
             "config": vars(cfg).copy(),
         },
     )

@@ -1,7 +1,8 @@
-"""Text file formats: datasets, score tables, transcripts, configs, artifacts.
+"""File formats: datasets, score tables, transcripts, configs, artifacts.
 
-Floats are written with repr, so values round-trip exactly and reruns
-write byte-identical files. The tab-separated formats share one reader:
+Floats in the text formats are written with repr, and artifact arrays as
+raw float64, so values round-trip exactly and reruns write byte-identical
+files. The tab-separated formats share one reader:
 blank lines are skipped, and a row with the wrong field count is a
 FormatError ``path:line: expected ...``. Formats:
 
@@ -9,33 +10,44 @@ FormatError ``path:line: expected ...``. Formats:
                  followed by d space-separated decimals per line;
 * score table  — header ``system_id<TAB>label1<TAB>...``, then one
                  ``utt_id<TAB>s1<TAB>...`` row per utterance;
-* transcripts  — ``utt_id<TAB>token token ...`` (UTF-8);
+* transcripts  — ``utt_id<TAB>token token ...`` (UTF-8); a token is never
+                 empty and holds no whitespace;
 * labels       — ``utt_id<TAB>label`` rows, or any vector set file;
 * configs      — ``key=value`` lines with ``#`` comments, unknown keys are
                  rejected by the consumer;
-* artifacts    — one JSON object ``{"format_version", "kind", "fingerprint",
-                 "payload"}``; `load_artifact` checks the version and the
-                 kind and hands the fingerprint to the caller to verify.
+* artifacts    — a JSON file ``<stem>.json``, one object ``{"arrays",
+                 "format_version", "kind", "fingerprint", "payload"}``, plus
+                 one raw sidecar ``<stem>.f64`` that holds every array of the
+                 payload as little-endian float64, in the order the
+                 sorted-key JSON encoding meets them. In the JSON each array
+                 is a reference ``{"f64": offset, "shape": [...]}`` (offset
+                 in float64 values), and ``"arrays"`` gives the sidecar's
+                 ``"bytes"`` and ``"sha256"``. `load_artifact` checks the
+                 version, the kind, the sidecar's size and hash, every
+                 reference's range and that every value is finite, and hands
+                 the fingerprint to the caller to verify.
 
 Every writer goes through `write_whole`, so a file is either left as it was
-or replaced by the complete new text, never half-written. A writer refuses,
+or replaced by the complete new content, never half-written. A writer refuses,
 before it writes, an id, label, system id or label name that holds a tab or
-a `str.splitlines` separator, since the readers would split it.
+a `str.splitlines` separator, since the readers would split it, and a
+transcript token or line that would not read back.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .data import Domain, IVectorSet, ScoreTable, Utterance
 from .errors import FormatError, ValidationError
 
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 UNLABELED = "-"
 
 
@@ -47,17 +59,24 @@ def _read_text(path) -> str:
         raise FormatError("%s: not UTF-8 text (byte %d): %s" % (path, err.start, err.reason))
 
 
-def write_whole(path, text: str) -> None:
-    """Write `text` to `path` as UTF-8, all or nothing.
+def write_whole(path, content: Union[str, bytes]) -> None:
+    """Write `content` to `path` (text as UTF-8), all or nothing.
 
-    The text goes to a temporary file beside `path`, which is then renamed
+    The content goes to a temporary file beside `path`, which is then renamed
     over it; on any failure the temporary file is removed and `path` keeps
-    its old content (or stays absent).
+    its old content (or stays absent). Text that UTF-8 cannot encode (a
+    lone surrogate) is a ValidationError that names it, before any write.
     """
     path = Path(path)
+    if isinstance(content, str):
+        try:
+            content = content.encode("utf-8")
+        except UnicodeEncodeError as err:
+            raise ValidationError("%s: %r cannot be written as UTF-8"
+                                  % (path, err.object[err.start:err.end]))
     tmp = path.with_name(".%s.%d.tmp" % (path.name, os.getpid()))
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(content)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -193,8 +212,20 @@ def load_transcripts(path, source: str = "word"):
 
 
 def save_transcripts(transcripts, path) -> None:
-    lines = ["%s\t%s" % (_join_fields(path, (t.utt_id,)), " ".join(t.tokens))
-             for t in transcripts]
+    """Write transcripts; a token that is empty or holds whitespace, or a
+    transcript whose line would be blank, is a ValidationError that names it."""
+    lines = []
+    for t in transcripts:
+        tokens = " ".join(t.tokens)
+        if tokens.split() != list(t.tokens):
+            bad = next(tok for tok in t.tokens if tok.split() != [tok])
+            raise ValidationError("%s: token %r of %r is empty or holds whitespace, so it "
+                                  "cannot be read back" % (path, bad, t.utt_id))
+        line = "%s\t%s" % (_join_fields(path, (t.utt_id,)), tokens)
+        if not line.strip():
+            raise ValidationError("%s: transcript %r has no tokens and a blank id, so its "
+                                  "line would be skipped" % (path, t.utt_id))
+        lines.append(line)
     write_whole(path, "\n".join(lines) + "\n")
 
 
@@ -245,27 +276,85 @@ def parse_config(path, known_keys: Optional[Sequence[str]] = None) -> dict[str, 
 
 
 # ---------------------------------------------------------------------------
-# JSON artifacts with fingerprints
+# JSON artifacts with fingerprints and a float64 sidecar
 # ---------------------------------------------------------------------------
+
+_F64 = np.dtype("<f8")
+
 
 def config_fingerprint(payload: Mapping) -> str:
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+def sidecar_path(path) -> Path:
+    """The array sidecar ``<stem>.f64`` of the artifact at `path`."""
+    return Path(path).with_suffix(".f64")
+
+
+def _to_refs(value, arrays: list):
+    """`value` with every ndarray replaced by its sidecar reference. Mappings
+    are walked in sorted-key order, as the JSON encoder writes them, and each
+    array is appended to `arrays` as (offset, array)."""
+    if isinstance(value, np.ndarray):
+        offset = arrays[-1][0] + arrays[-1][1].size if arrays else 0
+        arrays.append((offset, value))
+        return {"f64": offset, "shape": list(value.shape)}
+    if isinstance(value, Mapping):
+        return {k: _to_refs(value[k], arrays) for k in sorted(value)}
+    if isinstance(value, (list, tuple)):
+        return [_to_refs(v, arrays) for v in value]
+    return value
+
+
+def _is_count(n) -> bool:
+    return type(n) is int and n >= 0
+
+
+def _from_refs(path, value, flat: np.ndarray):
+    """`value` with every sidecar reference replaced by a read-only view of `flat`;
+    a reference whose offset or shape falls outside `flat` is a FormatError."""
+    if isinstance(value, dict):
+        if value.keys() != {"f64", "shape"}:
+            return {k: _from_refs(path, v, flat) for k, v in value.items()}
+        offset, shape = value["f64"], value["shape"]
+        if not (_is_count(offset) and isinstance(shape, list) and all(map(_is_count, shape))
+                and offset + math.prod(shape) <= flat.size):
+            raise FormatError("%s: array reference %s lies outside the %d values of %s"
+                              % (path, json.dumps(value), flat.size, sidecar_path(path).name))
+        return flat[offset:offset + math.prod(shape)].reshape(shape)
+    if isinstance(value, list):
+        return [_from_refs(path, v, flat) for v in value]
+    return value
+
+
 def save_artifact(path, kind: str, fingerprint: str, payload: Mapping) -> None:
+    """Write the artifact `path` and its sidecar; the payload's arrays go to the sidecar.
+
+    The sidecar is written first and `path` last, so `path` is the commit
+    point: a crash between the two leaves a pair whose hash does not match.
+    """
+    arrays: list = []
+    payload = _to_refs(payload, arrays)
+    data = b"".join(a.astype(_F64, copy=False).tobytes() for _, a in arrays)
     blob = {
+        "arrays": {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()},
         "format_version": ARTIFACT_VERSION,
         "kind": kind,
         "fingerprint": fingerprint,
         "payload": payload,
     }
+    write_whole(sidecar_path(path), data)
     # compact separators, no indent: json's C encoder then does the work
     write_whole(path, json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_artifact(path, kind: str) -> tuple[dict, str]:
-    """(payload, stored fingerprint) of a `kind` artifact; the caller checks the fingerprint."""
+    """(payload, stored fingerprint) of a `kind` artifact; the caller checks the fingerprint.
+
+    The payload's arrays are read-only float64 views of the sidecar, which
+    must match the envelope's size and sha256 and hold only finite values.
+    """
     try:
         blob = json.loads(_read_text(path))
     except json.JSONDecodeError as err:
@@ -281,4 +370,20 @@ def load_artifact(path, kind: str) -> tuple[dict, str]:
         raise FormatError("%s: artifact has no payload object" % path)
     if not isinstance(blob.get("fingerprint"), str):
         raise FormatError("%s: artifact has no fingerprint" % path)
-    return blob["payload"], blob["fingerprint"]
+    arrays = blob.get("arrays")
+    if not (isinstance(arrays, dict) and _is_count(arrays.get("bytes"))
+            and isinstance(arrays.get("sha256"), str)):
+        raise FormatError("%s: artifact has no arrays entry" % path)
+    sidecar = sidecar_path(path)
+    try:
+        data = sidecar.read_bytes()
+    except FileNotFoundError:
+        raise FormatError("%s: array sidecar %s is missing" % (path, sidecar.name))
+    if (len(data) != arrays["bytes"] or len(data) % _F64.itemsize
+            or hashlib.sha256(data).hexdigest() != arrays["sha256"]):
+        raise FormatError("%s: array sidecar %s does not match its size and sha256"
+                          % (path, sidecar.name))
+    flat = np.frombuffer(data, dtype=_F64)
+    if not np.isfinite(flat).all():
+        raise FormatError("%s: array sidecar %s holds a non-finite value" % (path, sidecar.name))
+    return _from_refs(path, blob["payload"], flat), blob["fingerprint"]

@@ -23,6 +23,8 @@ ZERO_EMBEDDING_EPS = 1e-12
 # cap on n_pairs and on epochs x n_pairs: the pair tables take 24 B a pair and each
 # epoch's shuffle 8 B (320 MB at the cap), and a pair step costs about 0.25 ms at dim 400
 MAX_PAIR_STEPS = 10**7
+# rows per `forward_batch` block, so that its working memory does not grow with n
+FORWARD_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -197,11 +199,13 @@ def _forward_batch(params: SiameseParams, X: np.ndarray):
 
 
 def forward_batch(params: SiameseParams, X: np.ndarray) -> np.ndarray:
-    """Embed a (n, input_dim) matrix row-wise; n may be 0."""
+    """Embed a (n, input_dim) matrix row-wise, FORWARD_ROWS rows at a time; n may be 0."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.arch.input_dim:
         raise ValidationError("expected (n, %d) input, got %r" % (params.arch.input_dim, X.shape))
-    out, _ = _forward_batch(params, X)
+    out = np.empty((X.shape[0], params.arch.output_dim))
+    for lo in range(0, X.shape[0], FORWARD_ROWS):
+        out[lo:lo + FORWARD_ROWS] = _forward_batch(params, X[lo:lo + FORWARD_ROWS])[0]
     return out
 
 
@@ -279,6 +283,13 @@ def grad(params: SiameseParams, xa: np.ndarray, xb: np.ndarray, y: np.ndarray):
     return grads_w, grads_b, mean_loss
 
 
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cdf that `Generator.choice` searches to draw with probabilities `p`."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def sample_pairs(
     data: IVectorSet,
     n_pairs: int,
@@ -319,25 +330,26 @@ def sample_pairs(
 
     weights = np.where([data.utterances[i].domain is Domain.DEV for i in labeled],
                        1.0 + dev_emphasis, 1.0)
-    prob_all = weights / weights.sum()
-    # per dialect: its own rows with their weights, and every other dialect's
-    # rows with their draw probabilities
-    same = {d: (labeled[lab == d], weights[lab == d]) for d in labels}
-    other = {d: (labeled[lab != d], weights[lab != d] / weights[lab != d].sum())
-             for d in labels}
-    rng = np.random.default_rng(seed)
-    ia = np.empty(n_pairs, dtype=np.int64)
+    _, codes = np.unique(lab, return_inverse=True)
+    # Pair k takes uniforms 2k (its anchor) and 2k + 1 (its partner), each
+    # mapped through the cdf of its pool's weights as `Generator.choice(p=...)`
+    # maps them, so these are the pairs of a loop of two such calls per pair.
+    u = np.random.default_rng(seed).random(2 * n_pairs)
+    at = _cdf(weights / weights.sum()).searchsorted(u[0::2], side="right")
     ib = np.empty(n_pairs, dtype=np.int64)
-    for k in range(n_pairs):
-        at = rng.choice(len(labeled), p=prob_all)  # the same draw as choosing from `labeled`
-        ia[k] = labeled[at]
-        if k < n_pos:
-            pool, w = same[lab[at]]
-            keep = pool != ia[k]
-            pool, p = pool[keep], w[keep] / w[keep].sum()
-        else:
-            pool, p = other[lab[at]]
-        ib[k] = rng.choice(pool, p=p)
+
+    def draw(pool, k):
+        w = weights[pool]
+        ib[k] = labeled[pool][_cdf(w / w.sum()).searchsorted(u[2 * k + 1], side="right")]
+
+    pos, neg = at[:n_pos], at[n_pos:]
+    for a in np.unique(pos):  # positives: another row of the anchor's dialect
+        pool = codes == codes[a]
+        pool[a] = False
+        draw(pool, np.flatnonzero(pos == a))
+    for c in np.unique(codes[neg]):  # negatives: a row of another dialect
+        draw(codes != c, n_pos + np.flatnonzero(codes[neg] == c))
+    ia = labeled[at]
     return ia, ib, np.repeat([1, -1], [n_pos, n_neg])
 
 

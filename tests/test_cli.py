@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -103,12 +104,17 @@ class TestTrainCommand:
                    "--model-dir", tmp_path / "m", "--whiten-depth", 3,
                    "--use-dev", "--gamma", 0.91)
         assert code == 0
-        assert [p.name for p in (tmp_path / "m").iterdir()] == ["model.json"]
+        assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["model.f64", "model.json"]
         model = json.loads((tmp_path / "m" / "model.json").read_text())
-        assert model["format_version"] == 2 and model["kind"] == "model"
+        assert model["format_version"] == 3 and model["kind"] == "model"
+        assert model["arrays"]["bytes"] == (tmp_path / "m" / "model.f64").stat().st_size
         assert model["payload"]["flags"]["gamma"] == 0.91
         assert sorted(model["payload"]) == ["chain", "flags", "models"]
-        assert len(model["payload"]["chain"]["stages"]) == 3
+        stages = model["payload"]["chain"]["stages"]
+        assert len(stages) == 3
+        # the first array in sorted-key order starts the sidecar
+        assert stages[0]["matrix"] == {"f64": 0, "shape": [20, 20]}
+        assert stages[0]["mean"] == {"f64": 400, "shape": [20]}
 
 
 class TestScoreCommand:
@@ -316,8 +322,9 @@ class TestRerunDeterminism:
                        "--out", out / "tst.scores") == 0
             runs.append(files(out))
         assert runs[0] == runs[1]
-        assert sorted(str(p) for p in runs[0]) == ["model/model.json", "tst.scores"]
-        # loading and saving again reproduces the model directory
+        assert sorted(str(p) for p in runs[0]) == [
+            "model/model.f64", "model/model.json", "tst.scores"]
+        # loading and saving again rewrites both model files byte for byte
         backend, flags, _ = Backend.load(tmp_path / "a" / "model")
         backend.save(tmp_path / "resaved", flags)
         assert files(tmp_path / "resaved") == files(tmp_path / "a" / "model")
@@ -336,11 +343,12 @@ class TestMalformedModelDir:
         _edit_payload(lambda p: p.pop("chain")),
         _edit_payload(lambda p: p["models"].update(models="not a matrix")),
         _edit_payload(lambda p: p["models"].update(provenance=["interpolated"])),
-        _edit_payload(lambda p: p["chain"]["stages"][0].update(matrix=[[1.0]])),
+        _edit_payload(lambda p: p["chain"]["stages"][0]["matrix"].update(shape=[1, 1])),
+        _edit_payload(lambda p: p["chain"]["stages"][0]["mean"].update(shape=[])),
         lambda blob: dict(blob, payload=[]),
         lambda blob: [blob],
     ], ids=["missing-provenance", "missing-chain", "string-models", "list-provenance",
-            "wrong-shape-matrix", "list-payload", "list-artifact"])
+            "wrong-shape-matrix", "scalar-mean", "list-payload", "list-artifact"])
     def test_exits_4_with_one_line(self, data_dir, tmp_path, capsys, mutate):
         m = tmp_path / "m"
         assert run("train", "--recipe", "cds", "--data-dir", data_dir, "--model-dir", m) == 0
@@ -470,8 +478,20 @@ RECIPE_KEYS = {
 }
 
 
-def score_with_model_text(root, text):
-    """Score tiny TST with a model dir holding `text` as model.json.
+def model_files(trained, recipe):
+    """(model.json bytes, model.f64 bytes) of the trained `recipe` model."""
+    return tuple((trained / recipe / name).read_bytes() for name in ("model.json", "model.f64"))
+
+
+def with_sidecar(blob, sidecar):
+    """model.json bytes of `blob` with its arrays entry describing `sidecar`."""
+    arrays = {"bytes": len(sidecar), "sha256": hashlib.sha256(sidecar).hexdigest()}
+    return json.dumps(dict(blob, arrays=arrays)).encode()
+
+
+def score_with_model(root, text, sidecar):
+    """Score tiny TST with a model dir holding `text` as model.json and
+    `sidecar` as model.f64 (no sidecar when None).
 
     Returns (exit code, stderr lines, whether a score file was written).
     """
@@ -480,6 +500,9 @@ def score_with_model_text(root, text):
         os.mkdir(model_dir)
         with open(os.path.join(model_dir, "model.json"), "wb") as f:
             f.write(text)
+        if sidecar is not None:
+            with open(os.path.join(model_dir, "model.f64"), "wb") as f:
+                f.write(sidecar)
         out = os.path.join(tmp, "x.scores")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -488,33 +511,117 @@ def score_with_model_text(root, text):
         return code, err.getvalue().splitlines(), os.path.exists(out)
 
 
+def assert_exit_4(result, names=""):
+    """One ``i/o error:`` line (holding `names`), exit 4 and no score table."""
+    code, err, wrote = result
+    assert code == 4 and len(err) == 1 and err[0].startswith("i/o error:"), (code, err)
+    assert names in err[0]
+    assert not wrote
+
+
+ANY_RECIPE = st.sampled_from(sorted(RECIPE_FLAGS))
+
+
 class TestModelFileProperties:
     def test_intact_model_scores(self, trained):
         for recipe in RECIPE_FLAGS:
-            text = (trained / recipe / "model.json").read_bytes()
-            assert score_with_model_text(trained, text) == (0, [], True)
+            assert score_with_model(trained, *model_files(trained, recipe)) == (0, [], True)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_truncated_model_exits_4(self, trained, data):
-        recipe = data.draw(st.sampled_from(sorted(RECIPE_FLAGS)))
-        text = (trained / recipe / "model.json").read_bytes()
+        text, sidecar = model_files(trained, data.draw(ANY_RECIPE))
         cut = data.draw(st.integers(0, text.rindex(b"}")))
-        code, err, wrote = score_with_model_text(trained, text[:cut])
-        assert code == 4 and len(err) == 1 and err[0].startswith("i/o error:")
-        assert not wrote
+        assert_exit_4(score_with_model(trained, text[:cut], sidecar))
 
     @settings(max_examples=30, deadline=None)
     @given(case=st.sampled_from([(r, k) for r, keys in sorted(RECIPE_KEYS.items())
                                  for k in keys]))
     def test_missing_stage_exits_4(self, trained, case):
         recipe, key = case
-        blob = json.loads((trained / recipe / "model.json").read_text())
+        text, sidecar = model_files(trained, recipe)
+        blob = json.loads(text)
         assert sorted(blob["payload"]) == sorted(RECIPE_KEYS[recipe])
         del blob["payload"][key]
-        code, err, wrote = score_with_model_text(trained, json.dumps(blob).encode())
-        assert code == 4 and len(err) == 1 and err[0].startswith("i/o error:")
-        assert not wrote
+        assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_flipped_sidecar_byte_exits_4(self, trained, data):
+        text, sidecar = model_files(trained, data.draw(ANY_RECIPE))
+        at = data.draw(st.integers(0, len(sidecar) - 1))
+        flipped = bytes([sidecar[at] ^ data.draw(st.integers(1, 255))])
+        assert_exit_4(score_with_model(trained, text, sidecar[:at] + flipped + sidecar[at + 1:]),
+                      "model.f64")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_truncated_sidecar_exits_4(self, trained, data):
+        text, sidecar = model_files(trained, data.draw(ANY_RECIPE))
+        cut = data.draw(st.integers(0, len(sidecar) - 1))
+        assert_exit_4(score_with_model(trained, text, sidecar[:cut]), "model.f64")
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_FLAGS))
+    def test_missing_sidecar_exits_4(self, trained, recipe):
+        text, _ = model_files(trained, recipe)
+        assert_exit_4(score_with_model(trained, text, None), "model.f64")
+
+    @settings(max_examples=8, deadline=None)
+    @given(recipe=ANY_RECIPE, keep_sidecar=st.booleans())
+    def test_version_2_model_exits_4(self, trained, recipe, keep_sidecar):
+        # what the previous format wrote: arrays as JSON lists, no sidecar
+        from dialectid.fileio import load_artifact
+
+        payload, fingerprint = load_artifact(trained / recipe / "model.json", "model")
+
+        def as_lists(value):
+            if isinstance(value, np.ndarray):
+                return value.tolist()
+            if isinstance(value, dict):
+                return {k: as_lists(v) for k, v in value.items()}
+            if isinstance(value, list):
+                return [as_lists(v) for v in value]
+            return value
+
+        blob = {"format_version": 2, "kind": "model", "fingerprint": fingerprint,
+                "payload": as_lists(payload)}
+        sidecar = model_files(trained, recipe)[1] if keep_sidecar else None
+        assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar),
+                      "version 2")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_non_finite_array_value_exits_4(self, trained, data):
+        text, sidecar = model_files(trained, data.draw(ANY_RECIPE))
+        values = np.frombuffer(sidecar, dtype="<f8").copy()
+        values[data.draw(st.integers(0, values.size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        sidecar = values.tobytes()
+        assert_exit_4(score_with_model(trained, with_sidecar(json.loads(text), sidecar), sidecar),
+                      "non-finite")
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_scorer_labels_out_of_flag_order_exit_4(self, trained, data):
+        recipe = data.draw(ANY_RECIPE)
+        text, sidecar = model_files(trained, recipe)
+        blob = json.loads(text)
+        scorer = blob["payload"]["svm" if recipe == "baseline_svm" else "models"]
+        order = data.draw(st.permutations(scorer["labels"]).filter(
+            lambda p: p != scorer["labels"]))
+        scorer["labels"] = order
+        assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar), "labels")
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_FLAGS))
+    def test_flags_dim_other_than_whitening_dim_exits_4(self, trained, recipe):
+        from dialectid.fileio import config_fingerprint
+
+        text, sidecar = model_files(trained, recipe)
+        blob = json.loads(text)
+        flags = blob["payload"]["flags"]
+        flags["dim"] -= 1
+        blob["fingerprint"] = config_fingerprint(flags)  # consistent with the edited flags
+        assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar), "dim")
 
 
 class TestWholeFileWrites:

@@ -1,3 +1,5 @@
+import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -21,6 +23,8 @@ from dialectid.fileio import (
     save_ivector_set,
     save_score_table,
     save_transcripts,
+    sidecar_path,
+    write_whole,
 )
 from dialectid.synth import SynthConfig, generate
 from dialectid.text_features import PhoneSequence, Transcript
@@ -151,11 +155,15 @@ class TestArtifacts:
     def test_round_trip_with_fingerprint(self, tmp_path):
         fp = config_fingerprint({"x": 1})
         path = tmp_path / "a.json"
-        save_artifact(path, "demo", fp, {"value": [1.5, -2.25e-9]})
+        matrix = np.arange(6.0).reshape(2, 3) - 2.5
+        save_artifact(path, "demo", fp, {"value": [1.5, -2.25e-9], "matrix": matrix})
         payload, stored = load_artifact(path, "demo")
         assert payload["value"] == [1.5, -2.25e-9]
+        assert_bitwise_equal(payload["matrix"], matrix)
+        assert not payload["matrix"].flags.writeable
         assert stored == fp
         assert path.read_text().count("\n") == 1  # compact: one line
+        assert sidecar_path(path).read_bytes() == matrix.astype("<f8").tobytes()
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         from dialectid.backend import Backend
@@ -172,8 +180,10 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("blob", [
         '{"format_version": 1, "kind": "demo", "fingerprint": "aaaa", "payload": {}}',
-        '{"format_version": 2, "kind": "demo", "payload": {}}',
-    ], ids=["version-1", "no-fingerprint"])
+        '{"format_version": 2, "kind": "demo", "fingerprint": "aaaa", "payload": {}}',
+        '{"format_version": 3, "kind": "demo", "payload": {}}',
+        '{"format_version": 3, "kind": "demo", "fingerprint": "aaaa", "payload": {}}',
+    ], ids=["version-1", "version-2", "no-fingerprint", "no-arrays"])
     def test_old_version_or_missing_fingerprint_rejected(self, tmp_path, blob):
         path = tmp_path / "a.json"
         path.write_text(blob)
@@ -182,6 +192,55 @@ class TestArtifacts:
 
     def test_fingerprint_stable_across_key_order(self):
         assert config_fingerprint({"a": 1, "b": 2}) == config_fingerprint({"b": 2, "a": 1})
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_arrays_round_trip_bitwise_in_sorted_key_order(self, data):
+        keys = data.draw(st.lists(NAMES, max_size=4, unique=True))
+        payload = {}
+        for key in keys:
+            shape = tuple(data.draw(st.lists(st.integers(0, 3), max_size=3)))
+            matrix = draw_matrix(data, math.prod(shape), 1).reshape(shape)
+            payload[key] = data.draw(st.sampled_from([matrix, [matrix, key], {"m": matrix}]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a.json"
+            save_artifact(path, "demo", "aaaa", payload)
+            back, _ = load_artifact(path, "demo")
+            blob = json.loads(path.read_text())
+            raw = sidecar_path(path).read_bytes()
+        assert blob["arrays"]["bytes"] == len(raw)
+        offset = 0
+        for key in sorted(keys):  # the sidecar holds the arrays in sorted-key order
+            value, got = payload[key], back[key]
+            if isinstance(value, list):
+                value, got = value[0], got[0]
+            elif isinstance(value, dict):
+                value, got = value["m"], got["m"]
+            assert_bitwise_equal(got, value)
+            assert raw[8 * offset:8 * (offset + value.size)] == value.tobytes()
+            offset += value.size
+        assert 8 * offset == len(raw)
+
+    @pytest.mark.parametrize("ref", [
+        {"f64": 5, "shape": [2]}, {"f64": 0, "shape": [7]}, {"f64": -1, "shape": [1]},
+        {"f64": 0, "shape": [-1]}, {"f64": 0.0, "shape": [1]}, {"f64": 0, "shape": 3},
+        {"f64": True, "shape": [1]},
+    ], ids=["past-end", "too-long", "negative-offset", "negative-dim", "float-offset",
+            "shape-not-list", "bool-offset"])
+    def test_reference_out_of_range_rejected(self, tmp_path, ref):
+        path = tmp_path / "a.json"
+        save_artifact(path, "demo", "aaaa", {"m": np.arange(6.0)})
+        blob = json.loads(path.read_text())
+        blob["payload"]["m"] = ref
+        path.write_text(json.dumps(blob))
+        with pytest.raises(FormatError, match="array reference"):
+            load_artifact(path, "demo")
+
+    def test_write_whole_takes_bytes(self, tmp_path):
+        write_whole(tmp_path / "b.bin", b"\x00\xff")
+        write_whole(tmp_path / "t.txt", "\u00e9")
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\xff"
+        assert (tmp_path / "t.txt").read_bytes() == b"\xc3\xa9"
 
 
 # values the row codec must carry bit for bit: signed zeros, subnormals and
@@ -331,12 +390,45 @@ class TestWritersRefuseUnreadableFields:
             round_trips_or_is_refused(save_transcripts, load_transcripts, original,
                                       Path(tmp) / "words.tsv")
 
+    @settings(max_examples=150, deadline=None)
+    @given(docs=st.lists(st.builds(
+        Transcript, st.one_of(FIELD_TEXT, BLANKS),
+        st.lists(st.one_of(NAMES, FIELD_TEXT, st.sampled_from(["", " ", "a b", "c\x1fd"])),
+                 max_size=3)), max_size=3))
+    def test_transcripts_round_trip_or_are_refused(self, docs):
+        with tempfile.TemporaryDirectory() as tmp:
+            round_trips_or_is_refused(save_transcripts, load_transcripts, docs,
+                                      Path(tmp) / "words.tsv")
+
+    @pytest.mark.parametrize("doc, named", [
+        (Transcript("u1", ("a b", "c")), "'a b'"),
+        (Transcript("u1", ("a", "")), "''"),
+        (Transcript("u1", ("c\x1fd",)), "'c\\x1fd'"),
+        (Transcript(" ", ()), "' '"),
+    ], ids=["space-in-token", "empty-token", "unit-separator-in-token", "blank-line"])
+    def test_transcript_error_names_the_value(self, tmp_path, doc, named):
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            save_transcripts([Transcript("u0", ("ok",)), doc], tmp_path / "words.tsv")
+        assert not (tmp_path / "words.tsv").exists()
+
     @pytest.mark.parametrize("utt_id", ["u\x1c1", "u\t1", "u\n1"])
     def test_score_table_error_names_the_id(self, tmp_path, utt_id):
         table = ScoreTable("sys", ("A",), (utt_id,), np.array([[0.5]]))
         with pytest.raises(ValidationError, match=re.escape(repr(utt_id))):
             save_score_table(table, tmp_path / "x.scores")
         assert not (tmp_path / "x.scores").exists()
+
+    @pytest.mark.parametrize("save, value", [
+        (save_transcripts, [Transcript("u\ud8001", ("w",))]),
+        (save_transcripts, [Transcript("u1", ("w\udfff",))]),
+        (save_score_table, ScoreTable("sys", ("A",), ("\ud800",), np.array([[0.5]]))),
+        (save_ivector_set, IVectorSet((Utterance("u1", Domain.TST, "\udc80"),),
+                                      np.array([[1.0]]))),
+    ], ids=["transcript-id", "transcript-token", "score-table-id", "vector-set-label"])
+    def test_lone_surrogate_is_refused(self, tmp_path, save, value):
+        with pytest.raises(ValidationError, match="cannot be written as UTF-8"):
+            save(value, tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unlabeled_marker_as_label_is_refused(self, tmp_path):
         dataset = IVectorSet((Utterance("u1", Domain.TST, "-"),), np.array([[1.0]]))

@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialectid.data import Domain
+from dialectid.data import Domain, IVectorSet, Utterance
 from dialectid.errors import NumericError, ValidationError
 from dialectid.siamese import (
+    FORWARD_ROWS,
     Conv1d,
     Dense,
     SiameseArch,
     TrainConfig,
+    _forward_batch,
     default_arch,
     forward_batch,
     grad,
@@ -131,6 +135,29 @@ class TestForward:
         np.testing.assert_allclose(both[:n1], forward_batch(p, x1), rtol=0, atol=1e-12)
         np.testing.assert_allclose(both[n1:], forward_batch(p, x2), rtol=0, atol=1e-12)
 
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.sampled_from([0, 1, 255, 256, 257, 515]), seed=st.integers(0, 2**32 - 1))
+    def test_blocked_rows_match_one_pass(self, n, seed):
+        assert FORWARD_ROWS == 256  # the sizes straddle one and two block edges
+        p = init_params(default_arch(input_dim=40, output_dim=6), seed=seed % 1000)
+        X = np.random.default_rng(seed).normal(size=(n, 40))
+        one_pass, _ = _forward_batch(p, X)
+        np.testing.assert_allclose(forward_batch(p, X), one_pass, rtol=0, atol=1e-12)
+
+    def test_working_memory_does_not_grow_with_rows(self):
+        # one pass over 2000 x 400 rows holds about 90 MB of column matrices
+        # and layer caches; FORWARD_ROWS blocks hold about 10 MB at a time
+        p = init_params(default_arch(), seed=0)
+        X = np.random.default_rng(0).normal(size=(2000, 400))
+        tracemalloc.start()
+        try:
+            out = forward_batch(p, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2000, 200)
+        assert peak < 30e6, peak
+
 
 def cosine(e1, e2):
     return float(np.dot(e1, e2) / (np.linalg.norm(e1) * np.linalg.norm(e2)))
@@ -246,6 +273,31 @@ class TestGrad:
             grad(p, x[:, :10], x[:, :10], np.array([1, -1, 1]))
 
 
+def reference_sample_pairs(data, n_pairs, positive_fraction=0.5, seed=0, dev_emphasis=0.0):
+    """The pair draw as a loop of two `Generator.choice(p=...)` calls per pair
+    (anchor, then partner), kept as the reference for `sample_pairs`."""
+    labeled = np.flatnonzero([u.label is not None for u in data.utterances])
+    lab = np.array([data.utterances[i].label for i in labeled])
+    n_pos = int(round(n_pairs * positive_fraction))
+    weights = np.where([data.utterances[i].domain is Domain.DEV for i in labeled],
+                       1.0 + dev_emphasis, 1.0)
+    rng = np.random.default_rng(seed)
+    ia = np.empty(n_pairs, dtype=np.int64)
+    ib = np.empty(n_pairs, dtype=np.int64)
+    for k in range(n_pairs):
+        at = rng.choice(len(labeled), p=weights / weights.sum())
+        ia[k] = labeled[at]
+        if k < n_pos:
+            pool, w = labeled[lab == lab[at]], weights[lab == lab[at]]
+            keep = pool != ia[k]
+            pool, p = pool[keep], w[keep] / w[keep].sum()
+        else:
+            pool, w = labeled[lab != lab[at]], weights[lab != lab[at]]
+            p = w / w.sum()
+        ib[k] = rng.choice(pool, p=p)
+    return ia, ib, np.repeat([1, -1], [n_pos, n_pairs - n_pos])
+
+
 class TestSamplePairs:
     def _data(self, n_per=4):
         rng = np.random.default_rng(0)
@@ -311,6 +363,30 @@ class TestSamplePairs:
 
         assert dev_rate(0.0) == pytest.approx(0.5, abs=0.06)
         assert dev_rate(3.0) > dev_rate(0.0) + 0.15
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_choice_loop(self, data):
+        n = data.draw(st.integers(4, 30))
+        labels = data.draw(st.lists(st.sampled_from(["A", "B", "C", None]), min_size=n,
+                                    max_size=n))
+        fraction = data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+        counts = {d: labels.count(d) for d in set(labels) - {None}}
+        if fraction > 0 and min(counts.values(), default=0) < 2:
+            fraction = 0.0  # a dialect with one row has no positive partner
+        if fraction < 1 and len(counts) < 2:
+            return  # and a single dialect has no negative one
+        domains = data.draw(st.lists(st.sampled_from([Domain.TRN, Domain.DEV]), min_size=n,
+                                     max_size=n))
+        dataset = IVectorSet(tuple(Utterance("u%d" % i, dom, lab) for i, (dom, lab)
+                                   in enumerate(zip(domains, labels))), np.zeros((n, 2)))
+        kwargs = dict(n_pairs=data.draw(st.integers(0, 60)), positive_fraction=fraction,
+                      seed=data.draw(st.integers(0, 2**32 - 1)),
+                      dev_emphasis=data.draw(st.sampled_from([0.0, 0.5, 2.5, 1e6])))
+        for got, want in zip(sample_pairs(dataset, **kwargs),
+                             reference_sample_pairs(dataset, **kwargs)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTrain:
