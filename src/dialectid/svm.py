@@ -3,8 +3,10 @@
 Per label, minimizes 0.5*||w||^2 + C * sum_i hinge(y_i (w.x_i + b)) with
 the classic 1/(lambda*t) step schedule (lambda = 1/(C*N)), visiting samples
 in seeded shuffled order; retraining with the same seed is bitwise
-reproducible. Features may be dense arrays or scipy CSR matrices; all K
+reproducible. Features may be dense arrays or scipy sparse matrices; all K
 labels share the shuffle, so one CSR sweep (`_kernels.svm_epochs`) trains them.
+A dense array enters that sweep as full rows over its own buffer, not as a
+CSR copy.
 """
 from __future__ import annotations
 
@@ -62,8 +64,16 @@ def train_linear_svm(
     shuffle sequence. C must be finite and positive and epochs x rows at most
     MAX_STEPS; both are checked before the order table is allocated.
     """
-    X = scipy.sparse.csr_matrix(features, dtype=np.float64, copy=True)
-    X.sum_duplicates()  # canonical CSR: the sweep takes nnz == dim as a full row
+    if scipy.sparse.issparse(features):
+        X = scipy.sparse.csr_matrix(features, dtype=np.float64, copy=True)
+        X.sum_duplicates()  # canonical CSR: the sweep takes nnz == dim as a full row
+        data, indices, indptr = X.data, X.indices, X.indptr
+    else:  # every row is full, so the sweep never reads indices
+        X = np.atleast_2d(np.ascontiguousarray(features, dtype=np.float64))
+        if X.ndim != 2:
+            raise ValidationError("features must be 1-D or 2-D, got %d-D" % X.ndim)
+        data, indices = X.reshape(-1), np.empty(0, dtype=np.int32)
+        indptr = np.arange(X.shape[0] + 1, dtype=np.int64) * X.shape[1]
     labels = list(labels)
     if X.shape[0] != len(labels):
         raise ValidationError("feature rows %d != label count %d" % (X.shape[0], len(labels)))
@@ -87,7 +97,7 @@ def train_linear_svm(
     for e in range(epochs):
         order[e] = rng.permutation(n)
     Y = np.where(np.array(labels)[None, :] == np.array(class_labels)[:, None], 1.0, -1.0)
-    weights, biases = _kernels.svm_epochs(X.data, X.indices, X.indptr, dim, Y, order, float(C))
+    weights, biases = _kernels.svm_epochs(data, indices, indptr, dim, Y, order, float(C))
     return LinearSvmModel(labels=class_labels, weights=weights, biases=biases, C=float(C))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -66,6 +68,39 @@ class TestTrainLinearSvm:
         np.testing.assert_allclose(m_sparse.weights, m_dense.weights, rtol=1e-12)
         np.testing.assert_array_equal(m_sparse.biases, m_dense.biases)
         assert csr.indices.tolist() == [0, 0, 0, 1, 1, 0, 0, 1]  # the input is not modified
+
+    def test_dense_rows_with_zeros_match_csr_bitwise(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(30, 12)) * (rng.random((30, 12)) < 0.4)
+        labels = [["a", "b", "c"][i % 3] for i in range(30)]
+        m_dense = train_linear_svm(X, labels, epochs=9, seed=2)
+        m_sparse = train_linear_svm(scipy.sparse.csr_matrix(X), labels, epochs=9, seed=2)
+        np.testing.assert_array_equal(m_dense.weights, m_sparse.weights)
+        np.testing.assert_array_equal(m_dense.biases, m_sparse.biases)
+
+    def test_dense_input_is_not_copied(self):
+        # 2000 x 400 float64 is 6.4 MB; a CSR copy would add that and more
+        X = np.random.default_rng(0).normal(size=(2000, 400))
+        labels = ["a", "b"] * 1000
+        tracemalloc.start()
+        try:
+            train_linear_svm(X, labels, epochs=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
+
+    def test_one_dimensional_input_is_one_row(self):
+        x = np.array([1.0, -2.0, 0.0])
+        model = train_linear_svm(x, ["a"], epochs=3, class_labels=["a", "b"])
+        ref = train_linear_svm(scipy.sparse.csr_matrix(x), ["a"], epochs=3,
+                               class_labels=["a", "b"])
+        assert model.weights.shape == (2, 3)
+        np.testing.assert_array_equal(model.weights, ref.weights)
+
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ValidationError, match="1-D or 2-D"):
+            train_linear_svm(np.zeros((2, 2, 2)), ["a", "b"])
 
     @pytest.mark.parametrize("C", [0.0, -1.0, float("inf"), float("nan"), 1e308, 1e-320],
                              ids=["zero", "negative", "inf", "nan", "c-times-rows-overflows",

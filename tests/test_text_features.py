@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialectid.errors import ValidationError
+from dialectid.svm import train_linear_svm
 from dialectid.text_features import (
     BOUNDARY_TOKEN,
     UNK_TOKEN,
@@ -192,7 +197,53 @@ class TestFeaturizeTranscripts:
         vocab = build_vocab([d.tokens for d in docs], n=1)
         M = featurize_transcripts(docs, vocab)
         counts = np.array([[1.0, 1.0], [0.0, 2.0]])
-        np.testing.assert_array_equal(M, counts / np.linalg.norm(counts, axis=1, keepdims=True))
+        np.testing.assert_array_equal(
+            M.toarray(), counts / np.linalg.norm(counts, axis=1, keepdims=True))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        train=st.lists(st.lists(st.sampled_from("abcde"), max_size=8), min_size=1, max_size=6),
+        docs=st.lists(st.lists(st.sampled_from("abcdexy"), max_size=8), min_size=2, max_size=8),
+        n=st.integers(1, 3),
+    )
+    def test_matches_dense_rows_of_vectorize(self, train, docs, n):
+        # x and y never reach the vocabulary, so the appended doc is all OOV
+        if not any(len(d) >= n for d in train):
+            train = train + [["a"] * n]
+        vocab = build_vocab(train, n=n)
+        docs = [t(d, utt="u%d" % i) for i, d in enumerate(docs + [["x", "y"] * n])]
+        M = featurize_transcripts(docs, vocab)
+        oracle = np.zeros((len(docs), len(vocab)))
+        for i, d in enumerate(docs):
+            oracle[i] = vectorize(count_ngrams(d.tokens, n), vocab).to_dense()
+        assert len(M) == M.shape[0] == len(docs) and M.shape[1] == len(vocab)
+        np.testing.assert_array_equal(M.toarray(), oracle)
+        assert M.has_sorted_indices and M.has_canonical_format
+        assert np.all(M.data != 0)
+        assert M.indptr[-1] == M.indptr[-2]  # the all-OOV doc is an empty row
+        assert featurize_transcripts([], vocab).shape == (0, len(vocab))
+        labels = ["A" if i % 2 else "B" for i in range(len(docs))]
+        m_sparse = train_linear_svm(M, labels, epochs=5, seed=n)
+        m_dense = train_linear_svm(M.toarray(), labels, epochs=5, seed=n)
+        np.testing.assert_array_equal(m_sparse.weights, m_dense.weights)
+        np.testing.assert_array_equal(m_sparse.biases, m_dense.biases)
+
+    def test_working_memory_follows_nonzeros_not_vocab(self):
+        # 1500 docs over a ~35k-bigram vocabulary: a dense matrix takes about
+        # 400 MB, the CSR one under 1 MB of values and indices
+        rng = np.random.default_rng(0)
+        words = ["w%d" % i for i in range(3000)]
+        docs = [t(rng.choice(words, size=25), utt="u%d" % i) for i in range(1500)]
+        vocab = build_vocab(docs, n=2)
+        assert len(vocab) > 30000
+        tracemalloc.start()
+        try:
+            M = featurize_transcripts(docs, vocab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert M.shape == (1500, len(vocab))
+        assert peak < 20e6, peak
 
 
 class TestFeatureVector:
