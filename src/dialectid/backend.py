@@ -9,19 +9,23 @@ once, and `save`/`load` are the only code that knows the artifact payload.
 
 A model directory holds one artifact, ``model.json`` (kind ``"model"``),
 and its array sidecar ``model.f64`` (see `fileio.save_artifact`). The
-payload maps ``"flags"`` to the training flags, ``"chain"`` to the
-whitening chain, ``"lda"`` or ``"siamese"`` to the projection of the
-``lda_cds`` or ``siam_cds`` recipe, and ``"svm"`` (``baseline_svm``) or
-``"models"`` (the cosine recipes) to the scorer. Each stage entry is its
-dataclass's own fields, with tuples as JSON lists, arrays as references
-into the sidecar, nested dataclasses as objects, and a ``"type"`` tag
-(``"conv1d"`` or ``"dense"``) on each twin-network layer. The artifact
-carries the fingerprint of the flags, which `load` verifies, and the
-recipe in the flags says which stage entries `load` reads.
+training flags fix everything about the chain but its arrays, so the
+payload holds the flags and the arrays only:
+
+* ``"flags"``: the training flags, whose fingerprint the artifact carries;
+* ``"chain"``: one ``{"mean", "matrix"}`` per whitening stage;
+* ``"lda"`` (``lda_cds``): ``{"mean", "basis"}``, or ``"siamese"``
+  (``siam_cds``): ``{"weights", "biases"}``, one array per layer;
+* ``"svm"`` (``baseline_svm``): ``{"weights", "biases"}``, or ``"models"``
+  (the cosine recipes): the (K, d) model matrix.
+
+`load` verifies the fingerprint, rebuilds every other field from the flags
+as `fit` does (the labels are the flags' ``labels`` and the twin network's
+layers come from `_siamese_arch`), and checks each stage against the flags.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -34,28 +38,26 @@ from .errors import FormatError, ValidationError
 RECIPES = ("baseline_svm", "cds", "lda_cds", "siam_cds")
 
 MODEL_FILE = "model.json"
-_LAYER_TYPES = {"conv1d": siamese.Conv1d, "dense": siamese.Dense}
-_LAYER_TAGS = {cls: tag for tag, cls in _LAYER_TYPES.items()}
-# the payload key of each projection and scorer type
-_STAGE_KEYS = {lda.LdaProjection: "lda", siamese.SiameseParams: "siamese",
-               svm.LinearSvmModel: "svm", dialect_model.DialectModelSet: "models"}
 
 Projection = Optional[Union[lda.LdaProjection, siamese.SiameseParams]]
 Scorer = Union[dialect_model.DialectModelSet, svm.LinearSvmModel]
 
 
-def _entry(value):
-    """Artifact form of a stage: a dataclass becomes a dict of its own fields (a
-    twin-network layer also gets its ``"type"`` tag) and a tuple a list; arrays
-    stay arrays, which `fileio.save_artifact` moves to the sidecar."""
-    if is_dataclass(value):
-        entry = {f.name: _entry(getattr(value, f.name)) for f in fields(value)}
-        if type(value) in _LAYER_TAGS:
-            entry["type"] = _LAYER_TAGS[type(value)]
-        return entry
-    if isinstance(value, tuple):
-        return [_entry(v) for v in value]
-    return value
+def _siamese_arch(flags: dict) -> siamese.SiameseArch:
+    """The twin network's layers for the flags' ``dim`` and ``siam_out_dim``
+    (half the dim, at least 2, when that is None)."""
+    dim, out_dim = flags["dim"], flags["siam_out_dim"]
+    return siamese.default_arch(
+        input_dim=dim, output_dim=max(2, dim // 2) if out_dim is None else out_dim)
+
+
+def _check_labels(labels) -> None:
+    """The flags' ``labels`` must be what `cmd_train` writes: a sorted list of
+    distinct strings."""
+    if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+            and labels == sorted(set(labels))):
+        raise ValidationError("labels %r are not a sorted list of distinct strings"
+                              % (labels,))
 
 
 def _project(projection: Projection, vectors: np.ndarray) -> np.ndarray:
@@ -96,7 +98,10 @@ class Backend:
             raise ValidationError("seed must be >= 0, got %d" % flags["seed"])
         if (dev is not None) != flags["use_dev"]:
             raise ValidationError("a DEV set must be given exactly when use_dev is set")
+        if trn.dim != flags["dim"]:
+            raise ValidationError("TRN dim %d is not the flags' dim %r" % (trn.dim, flags["dim"]))
         labels = flags["labels"]
+        _check_labels(labels)
         chain = whitening.fit_recursive_chain(
             primary=trn, matched=dev if dev is not None else trn, depth=flags["whiten_depth"]
         )
@@ -112,15 +117,12 @@ class Backend:
         if recipe == "lda_cds":
             projection = lda.fit_lda(pooled())
         elif recipe == "siam_cds":
-            out_dim = flags["siam_out_dim"]
-            arch = siamese.default_arch(
-                input_dim=trn.dim, output_dim=max(2, trn.dim // 2) if out_dim is None else out_dim)
             config = siamese.TrainConfig(
                 epochs=flags["siam_epochs"], n_pairs=flags["siam_pairs"],
                 dev_emphasis=flags["dev_emphasis"], seed=flags["seed"],
             )
             projection, _ = siamese.train(
-                siamese.init_params(arch, seed=flags["seed"]), pooled(), config)
+                siamese.init_params(_siamese_arch(flags), seed=flags["seed"]), pooled(), config)
 
         if recipe == "baseline_svm":
             fit_set = pooled()
@@ -131,12 +133,11 @@ class Backend:
             )
         else:
             scorer = dialect_model.fit_dialect_means(
-                trn.with_vectors(_project(projection, trn.vectors)), labels, domain_desc="TRN")
+                trn.with_vectors(_project(projection, trn.vectors)), labels)
             if dev is not None:
                 gamma = dialect_model.DEFAULT_GAMMA if flags["gamma"] is None else flags["gamma"]
                 dev_models = dialect_model.fit_dialect_means(
-                    dev.with_vectors(_project(projection, dev.vectors)), labels,
-                    domain_desc="DEV")
+                    dev.with_vectors(_project(projection, dev.vectors)), labels)
                 scorer = dialect_model.interpolate_models(scorer, dev_models, gamma)
         return cls(chain, projection, scorer)
 
@@ -150,10 +151,17 @@ class Backend:
 
     def save(self, model_dir, flags: dict) -> str:
         """Write ``<model_dir>/model.json`` and its sidecar; returns the flags' fingerprint."""
-        payload = {"flags": flags, "chain": _entry(self.chain)}
-        if self.projection is not None:
-            payload[_STAGE_KEYS[type(self.projection)]] = _entry(self.projection)
-        payload[_STAGE_KEYS[type(self.scorer)]] = _entry(self.scorer)
+        payload = {"flags": flags, "chain": [{"mean": st.mean, "matrix": st.matrix}
+                                             for st in self.chain.stages]}
+        p = self.projection
+        if isinstance(p, lda.LdaProjection):
+            payload["lda"] = {"mean": p.mean, "basis": p.basis}
+        elif isinstance(p, siamese.SiameseParams):
+            payload["siamese"] = {"weights": p.weights, "biases": p.biases}
+        if isinstance(self.scorer, svm.LinearSvmModel):
+            payload["svm"] = {"weights": self.scorer.weights, "biases": self.scorer.biases}
+        else:
+            payload["models"] = self.scorer.models
         fingerprint = fileio.config_fingerprint(flags)
         model_dir = Path(model_dir)
         model_dir.mkdir(parents=True, exist_ok=True)
@@ -164,12 +172,13 @@ class Backend:
     def load(cls, model_dir) -> tuple["Backend", dict, str]:
         """Read ``<model_dir>/model.json``; returns (backend, training flags, fingerprint).
 
-        A fingerprint that does not match the flags, an unknown recipe, a
-        stage entry the recipe needs but the file lacks, a wrong-typed
-        entry, scorer labels other than the flags' ``labels``, or a first
-        whitening stage whose dim is not the flags' ``dim`` raises
-        FormatError, as does every sidecar fault `fileio.load_artifact`
-        finds.
+        A fingerprint that does not match the flags, an unknown recipe, flags'
+        ``labels`` that are not a sorted list of distinct strings, a stage
+        entry the recipe needs but the file lacks, a wrong-typed entry, a
+        stage count other than ``whiten_depth``, a first whitening stage
+        whose dim is not the flags' ``dim``, or an array whose shape does
+        not fit the stages around it raises FormatError, as does every
+        sidecar fault `fileio.load_artifact` finds.
         """
         path = Path(model_dir) / MODEL_FILE
         payload, stored = fileio.load_artifact(path, "model")
@@ -181,31 +190,29 @@ class Backend:
             recipe = flags["recipe"]
             if recipe not in RECIPES:
                 raise FormatError("%s: unknown recipe %r" % (path, recipe))
-            entry = payload["chain"]
-            chain = whitening.WhiteningChain(**dict(
-                entry, stages=[whitening.WhiteningStage(**st) for st in entry["stages"]]))
+            labels = flags["labels"]
+            _check_labels(labels)
+            chain = whitening.WhiteningChain([whitening.WhiteningStage(**st)
+                                              for st in payload["chain"]])
+            if chain.depth != flags["whiten_depth"]:
+                raise FormatError("%s: %d whitening stages, but whiten_depth is %r"
+                                  % (path, chain.depth, flags["whiten_depth"]))
+            # before the projection, whose shapes follow from the dim
+            dim = chain.stages[0].mean.size
+            if type(flags["dim"]) is not int or dim != flags["dim"]:
+                raise FormatError("%s: whitening dim %d is not the flags' dim %r"
+                                  % (path, dim, flags["dim"]))
             projection = None
             if recipe == "lda_cds":
                 projection = lda.LdaProjection(**payload["lda"])
             elif recipe == "siam_cds":
-                entry = payload["siamese"]
-                arch = entry["arch"]
-                layers = [_LAYER_TYPES[spec.pop("type")](**spec) for spec in arch["layers"]]
-                projection = siamese.SiameseParams(**dict(
-                    entry, arch=siamese.SiameseArch(**dict(arch, layers=layers))))
+                projection = siamese.SiameseParams(_siamese_arch(flags), **payload["siamese"])
             if recipe == "baseline_svm":
-                scorer = svm.LinearSvmModel(**payload["svm"])
+                scorer = svm.LinearSvmModel(labels, **payload["svm"])
             else:
-                entry = payload["models"]
-                scorer = dialect_model.DialectModelSet(**dict(
-                    entry, provenance=dialect_model.ModelProvenance(**entry["provenance"])))
+                scorer = dialect_model.DialectModelSet(labels, payload["models"])
             backend = cls(chain, projection, scorer)
-            if list(scorer.labels) != flags["labels"]:
-                raise FormatError("%s: scorer labels %r are not the flags' labels %r"
-                                  % (path, list(scorer.labels), flags["labels"]))
-            if backend.dim != flags["dim"]:
-                raise FormatError("%s: whitening dim %d is not the flags' dim %r"
-                                  % (path, backend.dim, flags["dim"]))
+            backend.score(np.empty((0, dim)))  # each stage's dim against the next
         except (LookupError, TypeError, ValueError, AttributeError, ValidationError) as err:
             raise FormatError("%s: malformed model (%s: %s)"
                               % (path, type(err).__name__, err)) from err

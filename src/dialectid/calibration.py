@@ -30,7 +30,6 @@ class CalibrationParams:
     system_id: str
     scale: float  # a > 0
     offset: float  # b
-    fit_domain: str = ""
 
     def __post_init__(self):
         if not self.scale > 0:
@@ -48,8 +47,10 @@ class FusionWeights:
         ids = [s for s, _ in self.entries]
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate system ids in fusion weights")
-        if any(w < 0 for _, w in self.entries):
-            raise ValidationError("fusion weights must be nonnegative")
+        for s, w in self.entries:
+            if not 0 <= w < inf:
+                raise ValidationError("fusion weight %r of system %r must be finite and "
+                                      "nonnegative" % (w, s))
         total = sum(w for _, w in self.entries)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError("fusion weights must sum to 1, got %.12g" % total)
@@ -73,7 +74,8 @@ def fit_calibration(table: ScoreTable, truth: Mapping[str, str],
 
     The slope is clamped positive afterwards (offset refit for the clamped
     slope), keeping the map order-preserving even for anti-correlated
-    scores.
+    scores. `fit_domain` is ignored; it is kept for callers that still
+    pass it (``perfbench/workloads.py`` does).
     """
     if len(table) == 0:
         raise ValidationError("cannot calibrate an empty score table")
@@ -86,8 +88,7 @@ def fit_calibration(table: ScoreTable, truth: Mapping[str, str],
     if a <= 0:
         a = MIN_SLOPE
     b = float(t.mean() - a * s.mean())
-    return CalibrationParams(system_id=table.system_id, scale=a, offset=b,
-                             fit_domain=fit_domain)
+    return CalibrationParams(system_id=table.system_id, scale=a, offset=b)
 
 
 def apply_calibration(params: CalibrationParams, table: ScoreTable) -> ScoreTable:

@@ -121,9 +121,8 @@ def cmd_score(args) -> int:
 def cmd_calibrate_fuse(args) -> int:
     truth = fileio.load_labels(args.labels)
     tables = [fileio.load_score_table(p) for p in args.scores]
-    fit_domain = Path(args.labels).name
-    calibrated = [calibration.apply_calibration(
-        calibration.fit_calibration(t, truth, fit_domain=fit_domain), t) for t in tables]
+    calibrated = [calibration.apply_calibration(calibration.fit_calibration(t, truth), t)
+                  for t in tables]
 
     if args.fit_weights:
         weights = calibration.fit_fusion_weights(calibrated, truth,
@@ -146,7 +145,7 @@ def cmd_calibrate_fuse(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     fileio.save_score_table(fused, out_dir / "fused.scores")
     # calibration (and the fusion weights) were fitted on these labels
-    report = _report_for_table(fused, truth) + "fitted_on=%s\n" % fit_domain
+    report = _report_for_table(fused, truth) + "fitted_on=%s\n" % Path(args.labels).name
     fileio.write_whole(out_dir / "report.txt", report)
     sys.stdout.write(report)
     print("wrote %s and %s" % (out_dir / "fused.scores", out_dir / "report.txt"))

@@ -9,7 +9,7 @@ re-normalized so cosine scoring reduces to a dot product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,36 +20,23 @@ DEFAULT_GAMMA = 0.91
 
 
 @dataclass(frozen=True)
-class ModelProvenance:
-    kind: str  # "averaged" | "interpolated"
-    domain: Optional[str] = None
-    gamma: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class DialectModelSet:
     """One unit-norm model vector per dialect label."""
 
     labels: tuple[str, ...]
     models: np.ndarray = field(repr=False)  # (K, d), unit rows
-    provenance: ModelProvenance = ModelProvenance("averaged")
-    n_per_dialect: tuple[int, ...] = ()
 
     def __post_init__(self):
-        models = np.ascontiguousarray(np.atleast_2d(self.models), dtype=np.float64)
+        models = np.ascontiguousarray(self.models, dtype=np.float64)
         models.flags.writeable = False
         object.__setattr__(self, "models", models)
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "n_per_dialect", tuple(self.n_per_dialect))
-        if models.shape[0] != len(self.labels):
-            raise ValidationError("model count %d does not match %d labels"
-                                  % (models.shape[0], len(self.labels)))
+        if models.ndim != 2 or models.shape[0] != len(self.labels):
+            raise ValidationError("model matrix shape %r does not match %d labels"
+                                  % (models.shape, len(self.labels)))
         norms = np.linalg.norm(models, axis=1)
         if models.size and not np.allclose(norms, 1.0, atol=1e-9):
             raise ValidationError("dialect models must be unit-normalized")
-        g = self.provenance.gamma
-        if g is not None and not 0.0 <= g <= 1.0:
-            raise ValidationError("gamma must lie in [0, 1], got %g" % g)
 
     @property
     def dim(self) -> int:
@@ -59,7 +46,6 @@ class DialectModelSet:
 def fit_dialect_means(
     data: IVectorSet,
     labels: Sequence[str] = DEFAULT_LABELS,
-    domain_desc: str = "",
 ) -> DialectModelSet:
     """Average each dialect's vectors and unit-normalize the result.
 
@@ -68,7 +54,6 @@ def fit_dialect_means(
     vectors already.
     """
     models = []
-    counts = []
     for label in labels:
         idx = data.indices_for_label(label)
         if idx.size == 0:
@@ -78,13 +63,7 @@ def fit_dialect_means(
         if norm == 0.0:
             raise NumericError("dialect %r has a zero mean vector" % label)
         models.append(mean / norm)
-        counts.append(int(idx.size))
-    return DialectModelSet(
-        labels=tuple(labels),
-        models=np.array(models),
-        provenance=ModelProvenance("averaged", domain=domain_desc or None),
-        n_per_dialect=tuple(counts),
-    )
+    return DialectModelSet(labels=tuple(labels), models=np.array(models))
 
 
 def interpolate_models(
@@ -101,13 +80,7 @@ def interpolate_models(
     norms = np.linalg.norm(mixed, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise NumericError("interpolation produced a zero model vector")
-    return DialectModelSet(
-        labels=trn.labels,
-        models=mixed / norms,
-        provenance=ModelProvenance("interpolated", gamma=float(gamma)),
-        n_per_dialect=tuple(a + b for a, b in zip(trn.n_per_dialect, dev.n_per_dialect))
-        if trn.n_per_dialect and dev.n_per_dialect else (),
-    )
+    return DialectModelSet(labels=trn.labels, models=mixed / norms)
 
 
 def cds_score(models: DialectModelSet, v: np.ndarray) -> np.ndarray:

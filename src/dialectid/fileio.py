@@ -47,7 +47,7 @@ import numpy as np
 from .data import Domain, IVectorSet, ScoreTable, Utterance
 from .errors import FormatError, ValidationError
 
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 UNLABELED = "-"
 
 

@@ -30,9 +30,9 @@ class LdaProjection:
         basis = np.asarray(self.basis, dtype=np.float64)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "basis", basis)
-        if basis.ndim != 2 or basis.shape[0] != mean.shape[0]:
-            raise ValidationError("basis shape %r does not match mean length %d"
-                                  % (basis.shape, mean.shape[0]))
+        if mean.ndim != 1 or basis.ndim != 2 or basis.shape[0] != mean.size:
+            raise ValidationError("basis shape %r does not match mean shape %r"
+                                  % (basis.shape, mean.shape))
 
     @property
     def out_dim(self) -> int:

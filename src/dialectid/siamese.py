@@ -139,12 +139,11 @@ def default_arch(input_dim: int = 400, output_dim: int = 200) -> SiameseArch:
 
 @dataclass(frozen=True)
 class SiameseParams:
-    """Weights and biases for every layer, plus the arch and init seed."""
+    """Weights and biases for every layer, plus the arch."""
 
     arch: SiameseArch
     weights: tuple[np.ndarray, ...] = field(repr=False)
     biases: tuple[np.ndarray, ...] = field(repr=False)
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("weights", "biases"):
@@ -159,8 +158,7 @@ class SiameseParams:
                 raise ValidationError("layer %d has non-finite parameters" % i)
 
     def replace_arrays(self, weights, biases) -> "SiameseParams":
-        return SiameseParams(arch=self.arch, weights=tuple(weights),
-                             biases=tuple(biases), seed=self.seed)
+        return SiameseParams(arch=self.arch, weights=tuple(weights), biases=tuple(biases))
 
 
 def init_params(arch: SiameseArch, seed: int = 0) -> SiameseParams:
@@ -172,7 +170,7 @@ def init_params(arch: SiameseArch, seed: int = 0) -> SiameseParams:
         lim = np.sqrt(6.0 / math.prod(shape[1:]))
         weights.append(rng.uniform(-lim, lim, size=shape))
         biases.append(np.zeros(b_shape))
-    return SiameseParams(arch=arch, weights=tuple(weights), biases=tuple(biases), seed=seed)
+    return SiameseParams(arch=arch, weights=tuple(weights), biases=tuple(biases))
 
 
 def _forward_batch(params: SiameseParams, X: np.ndarray):

@@ -29,20 +29,19 @@ class LinearSvmModel:
     labels: tuple[str, ...]
     weights: np.ndarray = field(repr=False)  # (K, d)
     biases: np.ndarray = field(repr=False)  # (K,)
-    C: float = DEFAULT_C
 
     def __post_init__(self):
-        weights = np.atleast_2d(np.asarray(self.weights, dtype=np.float64))
+        weights = np.asarray(self.weights, dtype=np.float64)
         biases = np.asarray(self.biases, dtype=np.float64)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if weights.shape[0] != len(self.labels) or biases.shape != (len(self.labels),):
-            raise ValidationError("per-label weight/bias count mismatch")
+        K = len(self.labels)
+        if weights.ndim != 2 or weights.shape[0] != K or biases.shape != (K,):
+            raise ValidationError("weight shape %r and bias shape %r do not match %d labels"
+                                  % (weights.shape, biases.shape, K))
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
             raise ValidationError("SVM parameters must be finite")
-        if not 0 < self.C < np.inf:
-            raise ValidationError("C must be finite and positive")
 
     @property
     def dim(self) -> int:
@@ -98,7 +97,7 @@ def train_linear_svm(
         order[e] = rng.permutation(n)
     Y = np.where(np.array(labels)[None, :] == np.array(class_labels)[:, None], 1.0, -1.0)
     weights, biases = _kernels.svm_epochs(data, indices, indptr, dim, Y, order, float(C))
-    return LinearSvmModel(labels=class_labels, weights=weights, biases=biases, C=float(C))
+    return LinearSvmModel(labels=class_labels, weights=weights, biases=biases)
 
 
 def svm_decision(model: LinearSvmModel, x) -> np.ndarray:

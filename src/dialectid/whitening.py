@@ -36,28 +36,22 @@ class WhiteningStage:
         matrix = np.asarray(self.matrix, dtype=np.float64)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "matrix", matrix)
-        d = mean.shape[0]
-        if matrix.shape != (d, d):
-            raise ValidationError(
-                "whitening matrix shape %r does not match mean length %d" % (matrix.shape, d)
-            )
+        if mean.ndim != 1 or matrix.shape != (mean.size, mean.size):
+            raise ValidationError("whitening matrix shape %r does not match mean shape %r"
+                                  % (matrix.shape, mean.shape))
 
 
 @dataclass(frozen=True)
 class WhiteningChain:
-    """Ordered whitening stages, each followed by length normalization."""
+    """Ordered whitening stages, each followed by length normalization; stage 1
+    is fit on the primary subset and every deeper stage on the matched one."""
 
     stages: tuple[WhiteningStage, ...]
-    fit_subsets: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "fit_subsets", tuple(self.fit_subsets))
         if not self.stages:
             raise ValidationError("whitening chain needs at least one stage")
-        if len(self.stages) != len(self.fit_subsets):
-            raise ValidationError("chain has %d stages but %d subset descriptors"
-                                  % (len(self.stages), len(self.fit_subsets)))
 
     @property
     def depth(self) -> int:
@@ -136,15 +130,13 @@ def fit_recursive_chain(
         raise ValidationError("primary dim %d != matched dim %d" % (primary.dim, matched.dim))
 
     stages = [fit_whitener(primary, ridge)]
-    subsets = ["primary"]
     current = matched.vectors
     for _ in range(1, depth):
         current = length_normalize(apply_stage(stages[-1], current))
         if current.shape[0] < 2:
             raise ValidationError("matched subset too small to refit whitening")
         stages.append(_fit_array(current, ridge))
-        subsets.append("matched")
-    return WhiteningChain(stages=tuple(stages), fit_subsets=tuple(subsets))
+    return WhiteningChain(stages=tuple(stages))
 
 
 def apply_chain(chain: WhiteningChain, v: np.ndarray) -> np.ndarray:

@@ -125,6 +125,13 @@ class TestFusionWeights:
         with pytest.raises(ValidationError):
             FusionWeights((("a", 1.5), ("b", -0.5)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_named(self, bad):
+        with pytest.raises(ValidationError, match="fusion weight %r of system 'a'" % bad):
+            FusionWeights((("a", bad),))
+        with pytest.raises(ValidationError, match="of system 'b'"):
+            FusionWeights((("a", 1.0), ("b", bad)))
+
     def test_paper_default_weights_valid(self):
         w = FusionWeights((("ivec", 0.7), ("char", 0.2), ("phone", 0.1)))
         assert sum(v for _, v in w.entries) == pytest.approx(1.0)

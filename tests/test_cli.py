@@ -2,12 +2,13 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dialectid.cli import main
@@ -43,7 +44,7 @@ def tiny_data(tmp_path):
 # train flags of a quick dim-32 model per recipe
 RECIPE_FLAGS = {
     "cds": (),
-    "lda_cds": ("--use-dev",),
+    "lda_cds": ("--use-dev", "--whiten-depth", 2),
     "baseline_svm": ("--use-dev", "--svm-epochs", 30),
     "siam_cds": ("--use-dev", "--siam-epochs", 2, "--siam-pairs", 200),
 }
@@ -106,15 +107,17 @@ class TestTrainCommand:
         assert code == 0
         assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["model.f64", "model.json"]
         model = json.loads((tmp_path / "m" / "model.json").read_text())
-        assert model["format_version"] == 3 and model["kind"] == "model"
+        assert model["format_version"] == 4 and model["kind"] == "model"
         assert model["arrays"]["bytes"] == (tmp_path / "m" / "model.f64").stat().st_size
-        assert model["payload"]["flags"]["gamma"] == 0.91
-        assert sorted(model["payload"]) == ["chain", "flags", "models"]
-        stages = model["payload"]["chain"]["stages"]
-        assert len(stages) == 3
-        # the first array in sorted-key order starts the sidecar
-        assert stages[0]["matrix"] == {"f64": 0, "shape": [20, 20]}
-        assert stages[0]["mean"] == {"f64": 400, "shape": [20]}
+        payload = model["payload"]
+        assert payload["flags"]["gamma"] == 0.91
+        assert sorted(payload) == ["chain", "flags", "models"]
+        # the payload holds arrays only; the first in sorted-key order starts the sidecar
+        assert payload["chain"][0] == {"matrix": {"f64": 0, "shape": [20, 20]},
+                                       "mean": {"f64": 400, "shape": [20]}}
+        assert len(payload["chain"]) == 3
+        assert payload["models"] == {"f64": 3 * 420, "shape": [5, 20]}
+        assert model["arrays"]["bytes"] == 8 * (3 * 420 + 5 * 20)
 
 
 class TestScoreCommand:
@@ -330,6 +333,24 @@ class TestRerunDeterminism:
         assert files(tmp_path / "resaved") == files(tmp_path / "a" / "model")
 
 
+class TestBackendFitFlags:
+    @pytest.mark.parametrize("edit", [
+        lambda f: f.update(labels=f["labels"][::-1]),
+        lambda f: f.update(labels=f["labels"] + f["labels"][-1:]),
+        lambda f: f.update(dim=f["dim"] + 1),
+    ], ids=["unsorted-labels", "duplicate-label", "other-dim"])
+    def test_fit_refuses_flags_that_load_would_reject(self, edit):
+        from dialectid.backend import Backend
+        from dialectid.errors import ValidationError
+
+        ds = generate(SynthConfig(dim=8, n_trn=5, n_dev=4, n_tst=3, seed=1))
+        flags = {"recipe": "cds", "whiten_depth": 1, "gamma": None, "use_dev": False,
+                 "seed": 0, "dim": ds.trn.dim, "labels": sorted(ds.labels)}
+        edit(flags)
+        with pytest.raises(ValidationError):
+            Backend.fit(ds.trn, None, flags)
+
+
 def _edit_payload(edit):
     def mutate(blob):
         edit(blob["payload"])
@@ -339,15 +360,18 @@ def _edit_payload(edit):
 
 class TestMalformedModelDir:
     @pytest.mark.parametrize("mutate", [
-        _edit_payload(lambda p: p["models"].pop("provenance")),
+        # the version-3 layouts of the scorer and of the chain
+        _edit_payload(lambda p: p.update(models={"labels": p["flags"]["labels"],
+                                                 "models": p["models"]})),
+        _edit_payload(lambda p: p.update(chain={"stages": p["chain"],
+                                                "fit_subsets": ["primary"]})),
         _edit_payload(lambda p: p.pop("chain")),
-        _edit_payload(lambda p: p["models"].update(models="not a matrix")),
-        _edit_payload(lambda p: p["models"].update(provenance=["interpolated"])),
-        _edit_payload(lambda p: p["chain"]["stages"][0]["matrix"].update(shape=[1, 1])),
-        _edit_payload(lambda p: p["chain"]["stages"][0]["mean"].update(shape=[])),
+        _edit_payload(lambda p: p.update(models="not a matrix")),
+        _edit_payload(lambda p: p["chain"][0]["matrix"].update(shape=[1, 1])),
+        _edit_payload(lambda p: p["chain"][0]["mean"].update(shape=[])),
         lambda blob: dict(blob, payload=[]),
         lambda blob: [blob],
-    ], ids=["missing-provenance", "missing-chain", "string-models", "list-provenance",
+    ], ids=["dict-models", "dict-chain", "missing-chain", "string-models",
             "wrong-shape-matrix", "scalar-mean", "list-payload", "list-artifact"])
     def test_exits_4_with_one_line(self, data_dir, tmp_path, capsys, mutate):
         m = tmp_path / "m"
@@ -569,7 +593,7 @@ class TestModelFileProperties:
     @settings(max_examples=8, deadline=None)
     @given(recipe=ANY_RECIPE, keep_sidecar=st.booleans())
     def test_version_2_model_exits_4(self, trained, recipe, keep_sidecar):
-        # what the previous format wrote: arrays as JSON lists, no sidecar
+        # version 2 kept the arrays as JSON lists and had no sidecar
         from dialectid.fileio import load_artifact
 
         payload, fingerprint = load_artifact(trained / recipe / "model.json", "model")
@@ -588,6 +612,10 @@ class TestModelFileProperties:
         sidecar = model_files(trained, recipe)[1] if keep_sidecar else None
         assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar),
                       "version 2")
+        # version 3 had the same sidecar, but stored fields the flags derive beside the arrays
+        text, sidecar = model_files(trained, recipe)
+        blob = dict(json.loads(text), format_version=3)
+        assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar), "version 3")
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -602,15 +630,56 @@ class TestModelFileProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_scorer_labels_out_of_flag_order_exit_4(self, trained, data):
-        recipe = data.draw(ANY_RECIPE)
+    def test_flag_labels_out_of_order_exit_4(self, trained, data):
+        # the scorer's columns follow flags.labels, which train writes sorted
+        from dialectid.fileio import config_fingerprint
+
+        text, sidecar = model_files(trained, data.draw(ANY_RECIPE))
+        blob = json.loads(text)
+        flags = blob["payload"]["flags"]
+        flags["labels"] = data.draw(st.permutations(flags["labels"]).filter(
+            lambda p: p != sorted(p)))
+        blob["fingerprint"] = config_fingerprint(flags)  # consistent with the edited flags
+        assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar), "labels")
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_FLAGS))
+    def test_stage_count_other_than_whiten_depth_exits_4(self, trained, recipe):
         text, sidecar = model_files(trained, recipe)
         blob = json.loads(text)
-        scorer = blob["payload"]["svm" if recipe == "baseline_svm" else "models"]
-        order = data.draw(st.permutations(scorer["labels"]).filter(
-            lambda p: p != scorer["labels"]))
-        scorer["labels"] = order
-        assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar), "labels")
+        chain = blob["payload"]["chain"]
+        edits = [chain + chain[-1:]] + ([chain[:-1]] if len(chain) > 1 else [])
+        for edited in edits:
+            blob["payload"]["chain"] = edited
+            assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar),
+                          "whiten_depth")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_array_shape_edit_exits_4(self, trained, data):
+        text, sidecar = model_files(trained, data.draw(ANY_RECIPE))
+        blob = json.loads(text)
+        refs = []
+
+        def collect(value):
+            if isinstance(value, dict) and value.keys() == {"f64", "shape"}:
+                refs.append(value)
+            elif isinstance(value, (dict, list)):
+                for v in value.values() if isinstance(value, dict) else value:
+                    collect(v)
+
+        collect(blob["payload"])
+        ref = data.draw(st.sampled_from(refs))
+        shape = ref["shape"]
+        # swap the axes, add a 1, drop an axis, or change one axis by 1
+        edits = [shape[::-1]] + [shape[:i] + [1] + shape[i:] for i in range(len(shape) + 1)]
+        for i in range(len(shape)):
+            edits += [shape[:i] + rest + shape[i + 1:]
+                      for rest in ([], [shape[i] - 1], [shape[i] + 1])]
+        # only shapes that stay inside the sidecar, so the shape checks must catch them
+        edits = [e for e in edits if e != shape and ref["f64"] + math.prod(e) <= len(sidecar) // 8]
+        assume(edits)
+        ref["shape"] = data.draw(st.sampled_from(edits))
+        assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar))
 
     @pytest.mark.parametrize("recipe", sorted(RECIPE_FLAGS))
     def test_flags_dim_other_than_whitening_dim_exits_4(self, trained, recipe):
@@ -619,9 +688,10 @@ class TestModelFileProperties:
         text, sidecar = model_files(trained, recipe)
         blob = json.loads(text)
         flags = blob["payload"]["flags"]
-        flags["dim"] -= 1
-        blob["fingerprint"] = config_fingerprint(flags)  # consistent with the edited flags
-        assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar), "dim")
+        for dim in (flags["dim"] - 1, float(flags["dim"])):  # train writes an int
+            flags["dim"] = dim
+            blob["fingerprint"] = config_fingerprint(flags)  # consistent with the edited flags
+            assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar), "dim")
 
 
 class TestWholeFileWrites:

@@ -5,7 +5,6 @@ from dialectid.data import ScoreTable
 from dialectid.dialect_model import (
     DEFAULT_GAMMA,
     DialectModelSet,
-    ModelProvenance,
     cds_score,
     classify_rows,
     fit_dialect_means,
@@ -27,7 +26,6 @@ class TestFitDialectMeans:
         v = np.array([3.0, 4.0])
         models = fit_dialect_means(make_set([v], labels=["A"]), labels=["A"])
         np.testing.assert_allclose(models.models[0], [0.6, 0.8])
-        assert models.n_per_dialect == (1,)
 
     def test_two_orthogonal_vectors_average_symmetrically(self):
         s = make_set([[1.0, 0.0], [0.0, 1.0]], labels=["A", "A"])
@@ -73,9 +71,8 @@ class TestInterpolateModels:
     def test_default_gamma_is_091(self):
         assert DEFAULT_GAMMA == 0.91
         trn, dev = self._pair()
-        out = interpolate_models(trn, dev)
-        assert out.provenance.gamma == 0.91
-        assert out.provenance.kind == "interpolated"
+        np.testing.assert_array_equal(interpolate_models(trn, dev).models,
+                                      interpolate_models(trn, dev, gamma=0.91).models)
 
     def test_result_unit_norm(self):
         trn, dev = self._pair()

@@ -181,9 +181,10 @@ class TestArtifacts:
     @pytest.mark.parametrize("blob", [
         '{"format_version": 1, "kind": "demo", "fingerprint": "aaaa", "payload": {}}',
         '{"format_version": 2, "kind": "demo", "fingerprint": "aaaa", "payload": {}}',
-        '{"format_version": 3, "kind": "demo", "payload": {}}',
         '{"format_version": 3, "kind": "demo", "fingerprint": "aaaa", "payload": {}}',
-    ], ids=["version-1", "version-2", "no-fingerprint", "no-arrays"])
+        '{"format_version": 4, "kind": "demo", "payload": {}}',
+        '{"format_version": 4, "kind": "demo", "fingerprint": "aaaa", "payload": {}}',
+    ], ids=["version-1", "version-2", "version-3", "no-fingerprint", "no-arrays"])
     def test_old_version_or_missing_fingerprint_rejected(self, tmp_path, blob):
         path = tmp_path / "a.json"
         path.write_text(blob)

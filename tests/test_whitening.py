@@ -119,16 +119,15 @@ class TestRecursiveChain:
         stage = fit_whitener(ds.trn, ridge=0.0)
         np.testing.assert_array_equal(chain.stages[0].mean, stage.mean)
         np.testing.assert_array_equal(chain.stages[0].matrix, stage.matrix)
-        assert chain.fit_subsets == ("primary",)
+        assert chain.depth == 1
         v = ds.tst.vectors[0]
         np.testing.assert_array_equal(
             apply_chain(chain, v), length_normalize(apply_stage(stage, v))
         )
 
-    def test_records_fit_subsets(self):
+    def test_depth_three_fits_three_stages(self):
         ds = generate(SynthConfig(seed=2))
         chain = fit_recursive_chain(ds.trn, ds.dev, depth=3)
-        assert chain.fit_subsets == ("primary", "matched", "matched")
         assert chain.depth == 3
 
     def test_stagewise_fit_uses_transformed_matched_set(self):
@@ -164,7 +163,6 @@ class TestApplyChain:
     def test_single_identity_stage_reduces_to_normalize(self):
         chain = WhiteningChain(
             stages=(WhiteningStage(mean=np.zeros(2), matrix=np.eye(2)),),
-            fit_subsets=("primary",),
         )
         np.testing.assert_allclose(apply_chain(chain, np.array([3.0, 4.0])),
                                    np.array([0.6, 0.8]))
