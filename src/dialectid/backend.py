@@ -90,12 +90,20 @@ class Backend:
         set, else None: it is the matched subset for deeper whitening
         stages, joins TRN for the LDA, twin-network and SVM fits, and gives
         the in-domain models that the TRN models are interpolated with.
+        ``gamma`` needs ``use_dev`` and a cosine recipe, and a ``whiten_depth``
+        above 1 needs ``use_dev``.
         """
         recipe = flags["recipe"]
         if recipe not in RECIPES:
             raise ValidationError("unknown recipe %r (choose from %r)" % (recipe, RECIPES))
         if flags["seed"] < 0:
             raise ValidationError("seed must be >= 0, got %d" % flags["seed"])
+        if flags["gamma"] is not None and not flags["use_dev"]:
+            raise ValidationError("--gamma requires --use-dev (no in-domain means otherwise)")
+        if flags["gamma"] is not None and recipe == "baseline_svm":
+            raise ValidationError("--gamma does not apply to the SVM recipe")
+        if flags["whiten_depth"] > 1 and not flags["use_dev"]:
+            raise ValidationError("--whiten-depth > 1 requires --use-dev as the matched subset")
         if (dev is not None) != flags["use_dev"]:
             raise ValidationError("a DEV set must be given exactly when use_dev is set")
         if trn.dim != flags["dim"]:

@@ -66,13 +66,6 @@ def _load_valid(path, domain: Domain) -> IVectorSet:
 
 
 def cmd_train(args) -> int:
-    if args.gamma is not None and not args.use_dev:
-        raise ValidationError("--gamma requires --use-dev (no in-domain means otherwise)")
-    if args.gamma is not None and args.recipe == "baseline_svm":
-        raise ValidationError("--gamma does not apply to the SVM recipe")
-    if args.whiten_depth > 1 and not args.use_dev:
-        raise ValidationError("--whiten-depth > 1 requires --use-dev as the matched subset")
-
     data_dir = Path(args.data_dir)
     trn = _load_valid(data_dir / "trn.ivec", Domain.TRN)
     dev = _load_valid(data_dir / "dev.ivec", Domain.DEV) if args.use_dev else None

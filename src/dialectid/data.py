@@ -1,7 +1,7 @@
 """Shared data model: dialect labels, utterances, vector sets, score tables.
 
-Every container is immutable after construction (frozen dataclasses, numpy
-arrays marked read-only), so instances can be shared freely across threads.
+Every container is a frozen dataclass that takes each array through `_freeze`,
+so instances never alias a caller's array and can be shared across threads.
 """
 from __future__ import annotations
 
@@ -24,10 +24,12 @@ class Domain(Enum):
     TST = "TST"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.float64)
-    if out is arr:
-        out = arr.copy()
+def _freeze(arr, dtype=np.float64) -> np.ndarray:
+    """Read-only `dtype` array for a container field: a copy of `arr` in its memory order
+    (products round by it), unless converting made a new array the caller cannot reach."""
+    out = np.asarray(arr, dtype=dtype)
+    if out is arr or out.base is not None:
+        out = out.copy(order="K")
     out.flags.writeable = False
     return out
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DEFAULT_LABELS, IVectorSet, ScoreTable
+from .data import DEFAULT_LABELS, IVectorSet, ScoreTable, _freeze
 from .errors import NumericError, ValidationError
 
 DEFAULT_GAMMA = 0.91
@@ -27,15 +27,13 @@ class DialectModelSet:
     models: np.ndarray = field(repr=False)  # (K, d), unit rows
 
     def __post_init__(self):
-        models = np.ascontiguousarray(self.models, dtype=np.float64)
-        models.flags.writeable = False
-        object.__setattr__(self, "models", models)
+        object.__setattr__(self, "models", _freeze(self.models))
         object.__setattr__(self, "labels", tuple(self.labels))
-        if models.ndim != 2 or models.shape[0] != len(self.labels):
+        if self.models.ndim != 2 or self.models.shape[0] != len(self.labels):
             raise ValidationError("model matrix shape %r does not match %d labels"
-                                  % (models.shape, len(self.labels)))
-        norms = np.linalg.norm(models, axis=1)
-        if models.size and not np.allclose(norms, 1.0, atol=1e-9):
+                                  % (self.models.shape, len(self.labels)))
+        norms = np.linalg.norm(self.models, axis=1)
+        if self.models.size and not np.allclose(norms, 1.0, atol=1e-9):
             raise ValidationError("dialect models must be unit-normalized")
 
     @property

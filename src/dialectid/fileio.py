@@ -333,9 +333,14 @@ def save_artifact(path, kind: str, fingerprint: str, payload: Mapping) -> None:
 
     The sidecar is written first and `path` last, so `path` is the commit
     point: a crash between the two leaves a pair whose hash does not match.
+    A non-finite array value, which `load_artifact` refuses, is a
+    ValidationError before anything is written.
     """
     arrays: list = []
     payload = _to_refs(payload, arrays)
+    if not all(np.isfinite(a).all() for _, a in arrays):
+        raise ValidationError("%s: an array holds a non-finite value, which would not "
+                              "load back" % path)
     data = b"".join(a.astype(_F64, copy=False).tobytes() for _, a in arrays)
     blob = {
         "arrays": {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()},

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .data import IVectorSet
+from .data import IVectorSet, _freeze
 from .errors import NumericError, ValidationError
 
 DEFAULT_RIDGE_FACTOR = 1e-6
@@ -26,13 +26,11 @@ class LdaProjection:
     basis: np.ndarray = field(repr=False)  # (d, k) columns = discriminant directions
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        basis = np.asarray(self.basis, dtype=np.float64)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "basis", basis)
-        if mean.ndim != 1 or basis.ndim != 2 or basis.shape[0] != mean.size:
+        object.__setattr__(self, "mean", _freeze(self.mean))
+        object.__setattr__(self, "basis", _freeze(self.basis))
+        if self.mean.ndim != 1 or self.basis.ndim != 2 or self.basis.shape[0] != self.mean.size:
             raise ValidationError("basis shape %r does not match mean shape %r"
-                                  % (basis.shape, mean.shape))
+                                  % (self.basis.shape, self.mean.shape))
 
     @property
     def out_dim(self) -> int:

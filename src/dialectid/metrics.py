@@ -12,6 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .data import _freeze
 from .errors import ValidationError
 
 
@@ -21,14 +22,13 @@ class ConfusionMatrix:
     counts: np.ndarray = field(repr=False)  # (K, K) int, rows = truth, cols = predicted
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _freeze(self.counts, np.int64))
         object.__setattr__(self, "labels", tuple(self.labels))
         k = len(self.labels)
-        if counts.shape != (k, k):
+        if self.counts.shape != (k, k):
             raise ValidationError("counts shape %r does not match %d labels"
-                                  % (counts.shape, k))
-        if np.any(counts < 0):
+                                  % (self.counts.shape, k))
+        if np.any(self.counts < 0):
             raise ValidationError("confusion counts must be nonnegative")
 
     @property

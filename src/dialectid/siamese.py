@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .data import Domain, IVectorSet
+from .data import Domain, IVectorSet, _freeze
 from .errors import NumericError, ValidationError
 
 ZERO_EMBEDDING_EPS = 1e-12
@@ -119,9 +119,13 @@ def _param_shapes(layer: Layer) -> tuple[tuple[int, ...], tuple[int]]:
 
 
 def default_arch(input_dim: int = 400, output_dim: int = 200) -> SiameseArch:
-    """Two tanh conv layers (kernel 8, stride 2, channels 1->4->8) + linear dense."""
-    if output_dim < 1:
-        raise ValidationError("embedding dim must be >= 1, got %d" % output_dim)
+    """Two tanh conv layers (kernel 8, stride 2, channels 1->4->8) + linear dense.
+
+    The embedding may not be wider than the input.
+    """
+    if not 1 <= output_dim <= input_dim:
+        raise ValidationError("embedding dim must be in 1..%d (the input dim), got %d"
+                              % (input_dim, output_dim))
     t1 = (input_dim - 8) // 2 + 1
     t2 = (t1 - 8) // 2 + 1
     if t2 < 1:
@@ -147,8 +151,7 @@ class SiameseParams:
 
     def __post_init__(self):
         for name in ("weights", "biases"):
-            object.__setattr__(self, name, tuple(np.asarray(a, dtype=np.float64)
-                                                 for a in getattr(self, name)))
+            object.__setattr__(self, name, tuple(_freeze(a) for a in getattr(self, name)))
         if len(self.weights) != len(self.arch.layers) or len(self.biases) != len(self.arch.layers):
             raise ValidationError("parameter count does not match layer count")
         for i, (layer, w, b) in enumerate(zip(self.arch.layers, self.weights, self.biases)):
@@ -393,14 +396,16 @@ def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
     arrays = [a.copy() for a in params.weights + params.biases]  # weights, then biases
     velocity = [np.zeros_like(a) for a in arrays]
     history: list[float] = []
-    # holds `arrays` themselves, so the in-place steps below update it
-    current = params.replace_arrays(arrays[:n_layers], arrays[n_layers:])
     for _ in range(config.epochs):
         order = rng.permutation(len(y))
         total = 0.0
         counted = 0
         for lo in range(0, len(y), config.batch_size):
             batch = order[lo:lo + config.batch_size]
+            try:  # the params refuse a step that overflowed, which is divergence too
+                current = params.replace_arrays(arrays[:n_layers], arrays[n_layers:])
+            except ValidationError as err:
+                raise NumericError("non-finite parameters (divergence)", history=history) from err
             try:
                 gw, gb, loss = grad(current, data.vectors[ia[batch]], data.vectors[ib[batch]],
                                     y[batch])

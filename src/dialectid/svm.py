@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse
 
 from . import _kernels
+from .data import _freeze
 from .errors import ValidationError
 
 DEFAULT_C = 0.01
@@ -31,16 +32,14 @@ class LinearSvmModel:
     biases: np.ndarray = field(repr=False)  # (K,)
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        biases = np.asarray(self.biases, dtype=np.float64)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "biases", biases)
+        object.__setattr__(self, "weights", _freeze(self.weights))
+        object.__setattr__(self, "biases", _freeze(self.biases))
         object.__setattr__(self, "labels", tuple(self.labels))
         K = len(self.labels)
-        if weights.ndim != 2 or weights.shape[0] != K or biases.shape != (K,):
+        if self.weights.ndim != 2 or self.weights.shape[0] != K or self.biases.shape != (K,):
             raise ValidationError("weight shape %r and bias shape %r do not match %d labels"
-                                  % (weights.shape, biases.shape, K))
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
+                                  % (self.weights.shape, self.biases.shape, K))
+        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
             raise ValidationError("SVM parameters must be finite")
 
     @property

@@ -8,12 +8,17 @@ offset) is returned so oracle checks can measure recovery.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DEFAULT_LABELS, Domain, IVectorSet, Utterance
+from .data import DEFAULT_LABELS, Domain, IVectorSet, Utterance, _freeze
 from .errors import ValidationError
+
+# cap on the normal draws of one dataset; `generate` peaks at about twice their
+# float64 size (1.6 GB at the cap)
+MAX_DRAWS = 10**8
 
 
 @dataclass(frozen=True)
@@ -33,8 +38,16 @@ class SynthConfig:
             raise ValidationError("dim and num_dialects must be >= 1")
         if min(self.n_trn, self.n_dev, self.n_tst) < 1:
             raise ValidationError("per-dialect counts must be >= 1")
-        if min(self.dialect_std, self.within_std, self.channel_std) < 0:
-            raise ValidationError("spread parameters must be nonnegative")
+        spreads = (self.dialect_std, self.within_std, self.channel_std)
+        if not all(0 <= s < math.inf for s in spreads):  # NaN fails too
+            raise ValidationError("spread parameters must be finite and nonnegative, got "
+                                  "dialect_std=%r, within_std=%r, channel_std=%r" % spreads)
+        # `generate` draws the means, the offset and every row
+        draws = self.dim * (self.num_dialects * (1 + self.n_trn + self.n_dev + self.n_tst) + 1)
+        if draws > MAX_DRAWS:
+            raise ValidationError("dim %d x (%d dialects x (1 + %d + %d + %d rows) + 1) = %d "
+                                  "draws exceeds %d" % (self.dim, self.num_dialects, self.n_trn,
+                                                       self.n_dev, self.n_tst, draws, MAX_DRAWS))
         if self.seed < 0:
             raise ValidationError("seed must be >= 0, got %d" % self.seed)
 
@@ -54,6 +67,10 @@ class SynthDataset:
     dialect_means: np.ndarray = field(repr=False)  # (K, dim)
     channel_offset: np.ndarray = field(repr=False)  # (dim,)
 
+    def __post_init__(self):
+        object.__setattr__(self, "dialect_means", _freeze(self.dialect_means))
+        object.__setattr__(self, "channel_offset", _freeze(self.channel_offset))
+
     @property
     def labels(self) -> tuple[str, ...]:
         return self.config.labels
@@ -63,7 +80,8 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     """Draw the three splits deterministically from cfg.seed.
 
     Draw order is fixed (means, offset, then TRN/DEV/TST dialect by
-    dialect), so equal configs give byte-identical datasets.
+    dialect), so equal configs give byte-identical datasets. Spreads so large
+    that a draw or a sum overflows are refused.
     """
     rng = np.random.default_rng(cfg.seed)
     labels = cfg.labels
@@ -82,8 +100,14 @@ def generate(cfg: SynthConfig) -> SynthDataset:
         return IVectorSet(tuple(utts), np.vstack(rows))
 
     zero = np.zeros(cfg.dim)
-    trn = split("trn", Domain.TRN, cfg.n_trn, zero)
-    dev = split("dev", Domain.DEV, cfg.n_dev, offset)
-    tst = split("tst", Domain.TST, cfg.n_tst, offset)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        trn = split("trn", Domain.TRN, cfg.n_trn, zero)
+        dev = split("dev", Domain.DEV, cfg.n_dev, offset)
+        tst = split("tst", Domain.TST, cfg.n_tst, offset)
+    if not all(np.isfinite(a).all() for a in (means, offset, trn.vectors, dev.vectors,
+                                              tst.vectors)):
+        raise ValidationError("draws overflow to non-finite values; lower dialect_std=%r, "
+                              "within_std=%r or channel_std=%r"
+                              % (cfg.dialect_std, cfg.within_std, cfg.channel_std))
     return SynthDataset(config=cfg, trn=trn, dev=dev, tst=tst,
                         dialect_means=means, channel_offset=offset)

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .data import _freeze
 from .errors import ValidationError
 
 if TYPE_CHECKING:
@@ -77,17 +78,15 @@ class FeatureVector:
     dim: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-        if idx.shape != val.shape or idx.ndim != 1:
+        object.__setattr__(self, "indices", _freeze(self.indices, np.int64))
+        object.__setattr__(self, "values", _freeze(self.values))
+        if self.indices.shape != self.values.shape or self.indices.ndim != 1:
             raise ValidationError("indices and values must be aligned 1-D arrays")
-        if idx.size and (np.any(np.diff(idx) <= 0)):
+        if self.indices.size and (np.any(np.diff(self.indices) <= 0)):
             raise ValidationError("feature indices must be strictly increasing")
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.dim):
+        if self.indices.size and (self.indices[0] < 0 or self.indices[-1] >= self.dim):
             raise ValidationError("feature index out of range for dim %d" % self.dim)
-        if val.size and not np.all(np.isfinite(val)):
+        if not np.all(np.isfinite(self.values)):
             raise ValidationError("feature values must be finite")
 
     def to_dense(self) -> np.ndarray:
@@ -171,8 +170,7 @@ def vectorize(counts: Mapping, vocab: NgramVocab) -> FeatureVector:
         (vocab.index[g], float(c)) for g, c in counts.items() if g in vocab.index and c
     )
     if not items:
-        return FeatureVector(indices=np.array([], dtype=np.int64),
-                             values=np.array([]), dim=len(vocab))
+        return FeatureVector(indices=(), values=(), dim=len(vocab))
     idx = np.array([i for i, _ in items], dtype=np.int64)
     val = np.array([v for _, v in items])
     val = val / np.linalg.norm(val)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import IVectorSet
+from .data import IVectorSet, _freeze
 from .errors import NumericError, ValidationError
 
 DEFAULT_MAX_DEPTH = 3
@@ -32,13 +32,11 @@ class WhiteningStage:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "matrix", matrix)
-        if mean.ndim != 1 or matrix.shape != (mean.size, mean.size):
+        object.__setattr__(self, "mean", _freeze(self.mean))
+        object.__setattr__(self, "matrix", _freeze(self.matrix))
+        if self.mean.ndim != 1 or self.matrix.shape != (self.mean.size, self.mean.size):
             raise ValidationError("whitening matrix shape %r does not match mean shape %r"
-                                  % (matrix.shape, mean.shape))
+                                  % (self.matrix.shape, self.mean.shape))
 
 
 @dataclass(frozen=True)

@@ -350,6 +350,23 @@ class TestBackendFitFlags:
         with pytest.raises(ValidationError):
             Backend.fit(ds.trn, None, flags)
 
+    @pytest.mark.parametrize("edit, message", [
+        (dict(gamma=0.5), "--gamma requires --use-dev"),
+        (dict(recipe="baseline_svm", gamma=0.5, use_dev=True), "--gamma does not apply"),
+        (dict(whiten_depth=2), "--whiten-depth > 1 requires --use-dev"),
+    ], ids=["gamma-without-dev", "gamma-with-svm", "depth-without-dev"])
+    def test_fit_refuses_the_flag_combinations_train_refuses(self, edit, message):
+        from dialectid.backend import Backend
+        from dialectid.errors import ValidationError
+
+        ds = generate(SynthConfig(dim=8, n_trn=5, n_dev=4, n_tst=3, seed=1))
+        flags = {"recipe": "cds", "whiten_depth": 1, "gamma": None, "use_dev": False,
+                 "seed": 0, "dim": ds.trn.dim, "labels": sorted(ds.labels),
+                 "svm_c": 0.01, "svm_epochs": 2}
+        flags.update(edit)
+        with pytest.raises(ValidationError, match=message):
+            Backend.fit(ds.trn, ds.dev if flags["use_dev"] else None, flags)
+
 
 def _edit_payload(edit):
     def mutate(blob):
@@ -443,6 +460,16 @@ class TestFusionFlags:
 
 SIAM_TRAIN = ("train", "--recipe", "siam_cds", "--siam-epochs", 1, "--siam-pairs", 20)
 SVM_TRAIN = ("train", "--recipe", "baseline_svm")
+# synth config files that TestOutOfRangeFlagValues refers to by name
+SYNTH_CONFIGS = {
+    "negative-seed.cfg": "dim=8\nseed=-1\n",
+    "nan-within-std.cfg": "within_std=nan\n",
+    "inf-channel-std.cfg": "channel_std=inf\n",
+    # finite, but the draws overflow to inf
+    "huge-dialect-std.cfg": "dialect_std=1e308\n",
+    # without a cap, numpy refuses its 4 TB means array at once, so no memory is taken
+    "huge-dim.cfg": "dim=100000000000\n",
+}
 
 
 class TestOutOfRangeFlagValues:
@@ -463,14 +490,22 @@ class TestOutOfRangeFlagValues:
         ("train", "--recipe", "siam_cds", "--siam-pairs", 10000000000000),
         ("train", "--recipe", "siam_cds", "--siam-epochs", 3334, "--siam-pairs", 3000),
         ("train", "--recipe", "siam_cds", "--siam-epochs", 0, "--siam-pairs", 10000001),
+        SIAM_TRAIN + ("--siam-out-dim", 100000000000),
+        ("synth", "--config", "nan-within-std.cfg"),
+        ("synth", "--config", "inf-channel-std.cfg"),
+        ("synth", "--config", "huge-dialect-std.cfg"),
+        ("synth", "--config", "huge-dim.cfg"),
     ], ids=["siam-out-dim-negative", "siam-out-dim-zero", "dev-emphasis-nan",
             "dev-emphasis-inf", "synth-seed-flag", "synth-seed-config", "svm-c-inf",
             "svm-c-nan", "svm-epochs-huge", "svm-seed-negative", "siam-seed-negative",
             "cds-seed-negative", "dev-emphasis-overflows", "siam-pairs-huge",
-            "siam-epochs-times-pairs-over-cap", "siam-pairs-over-cap-zero-epochs"])
+            "siam-epochs-times-pairs-over-cap", "siam-pairs-over-cap-zero-epochs",
+            "siam-out-dim-above-input-dim", "synth-within-std-nan", "synth-channel-std-inf",
+            "synth-draws-overflow", "synth-draws-over-cap"])
     def test_exits_2_with_one_line(self, tiny_data, tmp_path, capsys, argv):
-        (tmp_path / "negative-seed.cfg").write_text("dim=8\nseed=-1\n")
-        argv = [tmp_path / a if a == "negative-seed.cfg" else a for a in argv]
+        for name, text in SYNTH_CONFIGS.items():
+            (tmp_path / name).write_text(text)
+        argv = [tmp_path / a if a in SYNTH_CONFIGS else a for a in argv]
         out = tmp_path / "out"
         if argv[0] == "train":
             argv += ["--data-dir", tiny_data, "--model-dir", out]

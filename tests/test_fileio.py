@@ -237,6 +237,13 @@ class TestArtifacts:
         with pytest.raises(FormatError, match="array reference"):
             load_artifact(path, "demo")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_refused_before_writing(self, tmp_path, value):
+        path = tmp_path / "a.json"
+        with pytest.raises(ValidationError, match="non-finite"):
+            save_artifact(path, "demo", "aaaa", {"m": np.array([1.0, value])})
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_whole_takes_bytes(self, tmp_path):
         write_whole(tmp_path / "b.bin", b"\x00\xff")
         write_whole(tmp_path / "t.txt", "\u00e9")

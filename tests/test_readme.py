@@ -1,6 +1,11 @@
-"""The README's python examples run as written."""
+"""The README's python examples and its full CLI run work as written."""
+import contextlib
+import io
 import re
+import shlex
 from pathlib import Path
+
+from dialectid.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +19,17 @@ def test_python_blocks_run_in_order(tmp_path, monkeypatch):
         exec(compile(block, str(README), "exec"), namespace)
     assert namespace["scores"].shape == (len(namespace["ds"].tst), len(namespace["labels"]))
     assert (tmp_path / "model" / "model.json").is_file()
+
+
+def test_full_adapted_run_exits_0(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"A full adapted run.*?```\n(.*?)```", text, re.S).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert [c[:2] for c in commands] == [["dialectid", "synth"], ["dialectid", "train"],
+                                         ["dialectid", "score"],
+                                         ["dialectid", "calibrate-fuse"]]
+    monkeypatch.chdir(tmp_path)  # the commands use relative paths
+    for command in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(command[1:]) == 0, command
+    assert (tmp_path / "fused" / "report.txt").is_file()

@@ -434,3 +434,11 @@ class TestTrain:
         with pytest.raises(NumericError) as exc:
             train(p, ds.trn, TrainConfig(epochs=2, n_pairs=128, learning_rate=1e200, seed=0))
         assert isinstance(exc.value.history, list)
+
+    def test_overflowing_step_aborts_with_history(self):
+        # an infinite step makes the parameters themselves non-finite
+        ds = generate(SynthConfig(dim=24, seed=2, n_trn=6, n_dev=2, n_tst=2))
+        p = init_params(default_arch(24, 4), seed=2)
+        with pytest.raises(NumericError, match="non-finite parameters") as exc:
+            train(p, ds.trn, TrainConfig(epochs=2, n_pairs=128, learning_rate=np.inf, seed=0))
+        assert exc.value.history == []
