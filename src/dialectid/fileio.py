@@ -12,7 +12,9 @@ FormatError ``path:line: expected ...``. Formats:
                  ``utt_id<TAB>s1<TAB>...`` row per utterance;
 * transcripts  — ``utt_id<TAB>token token ...`` (UTF-8); a token is never
                  empty and holds no whitespace;
-* labels       — ``utt_id<TAB>label`` rows, or any vector set file;
+* labels       — ``utt_id<TAB>label`` rows, or any vector set file, whose
+                 header, field count, ids and labels are checked but whose
+                 values are neither counted nor parsed;
 * configs      — ``key=value`` lines with ``#`` comments, unknown keys are
                  rejected by the consumer;
 * artifacts    — a JSON file ``<stem>.json``, one object ``{"arrays",
@@ -118,7 +120,7 @@ def _write_rows(path, head, keys, matrix: np.ndarray, sep: str) -> None:
 
 def _parse_row(path, ln: int, tokens) -> np.ndarray:
     try:
-        return np.array([float(x) for x in tokens], dtype=np.float64)
+        return np.fromiter(map(float, tokens), np.float64, len(tokens))
     except ValueError:
         raise FormatError("%s:%d: unparseable number" % (path, ln))
 
@@ -138,7 +140,8 @@ def save_ivector_set(dataset: IVectorSet, path) -> None:
 
 def _vector_rows(path, lines):
     """(d, rows) of a vector set file, checking its ``dim=<d>`` header; rows lazily
-    yields (line, (utt_id, label, tokens)) with d tokens each, parsing no number."""
+    yields (line, [utt_id, label, values]) per row, and neither counts nor
+    parses the values."""
     if not lines or not lines[0].startswith("dim="):
         raise FormatError("%s: first line must be dim=<d>" % path)
     try:
@@ -147,24 +150,17 @@ def _vector_rows(path, lines):
         raise FormatError("%s: bad dim header %r" % (path, lines[0]))
     if dim < 1:
         raise FormatError("%s: dim must be positive, got %d" % (path, dim))
-
-    def rows():
-        for ln, (utt_id, label, values) in _records(
-                path, lines[1:], 3, "utt_id<TAB>label<TAB>values", first_line=2):
-            tokens = values.split()
-            if len(tokens) != dim:
-                raise FormatError("%s:%d: expected %d values, got %d"
-                                  % (path, ln, dim, len(tokens)))
-            yield ln, (utt_id, label, tokens)
-
-    return dim, rows()
+    return dim, _records(path, lines[1:], 3, "utt_id<TAB>label<TAB>values", first_line=2)
 
 
 def load_ivector_set(path, domain: Domain = Domain.TST) -> IVectorSet:
     """Read a vector set file; the split is implied by the file, not stored in it."""
     dim, entries = _vector_rows(path, _read_text(path).splitlines())
     utts, rows = [], []
-    for ln, (utt_id, label, tokens) in entries:
+    for ln, (utt_id, label, values) in entries:
+        tokens = values.split()
+        if len(tokens) != dim:
+            raise FormatError("%s:%d: expected %d values, got %d" % (path, ln, dim, len(tokens)))
         rows.append(_parse_row(path, ln, tokens))
         utts.append(Utterance(id=utt_id, domain=domain,
                               label=None if label == UNLABELED else label))

@@ -581,6 +581,57 @@ def assert_exit_4(result, names=""):
 ANY_RECIPE = st.sampled_from(sorted(RECIPE_FLAGS))
 
 
+class TestLabelsFromAVectorSet:
+    """`--labels` reads a vector set's ids and labels only; `score --data` reads its values."""
+
+    @pytest.fixture()
+    def short(self, trained, tmp_path):
+        """tiny TST under its own file name, with the first row one value short"""
+        head, first, *rest = (trained / "data" / "tst.ivec").read_text().splitlines(keepends=True)
+        path = tmp_path / "short" / "tst.ivec"
+        path.parent.mkdir()
+        path.write_text(head + first.rsplit(" ", 1)[0] + "\n" + "".join(rest))
+        return path
+
+    def test_evaluate_and_fuse_report_as_from_the_intact_file(self, trained, tmp_path, short):
+        tables = [tmp_path / ("%s.scores" % recipe) for recipe in ("cds", "lda_cds")]
+        for table in tables:
+            assert run("score", "--model-dir", trained / table.stem, "--data",
+                       trained / "data" / "tst.ivec", "--out", table) == 0
+        reports = []
+        for labels in (trained / "data" / "tst.ivec", short):
+            out = tmp_path / "out" / labels.parent.name
+            out.mkdir(parents=True)
+            assert run("evaluate", "--scores", tables[0], "--labels", labels,
+                       "--out", out / "report.txt") == 0
+            assert run("calibrate-fuse", "--scores", *tables, "--labels", labels,
+                       "--fit-weights", "--out-dir", out / "fused") == 0
+            reports.append([(out / name).read_text() for name in ("report.txt",
+                                                                  "fused/report.txt")])
+        # the two labels files share a name, so fitted_on= matches too
+        assert reports[0] == reports[1]
+
+    def test_score_refuses_the_short_row(self, trained, tmp_path, short, capsys):
+        out = tmp_path / "x.scores"
+        capsys.readouterr()
+        assert run("score", "--model-dir", trained / "cds", "--data", short, "--out", out) == 4
+        assert only_stderr_line(capsys) == "i/o error: %s:2: expected 32 values, got 31" % short
+        assert not out.exists()
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_FLAGS))
+    def test_reversed_rows_score_byte_identical(self, trained, tmp_path, recipe):
+        tst = trained / "data" / "tst.ivec"
+        head, *rows = tst.read_text().splitlines(keepends=True)
+        reversed_tst = tmp_path / "reversed.ivec"
+        reversed_tst.write_text(head + "".join(rows[::-1]))
+        outs = [tmp_path / "tst.scores", tmp_path / "reversed.scores"]
+        for data, out in zip((tst, reversed_tst), outs):
+            assert run("score", "--model-dir", trained / recipe, "--data", data, "--out", out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 class TestModelFileProperties:
     def test_intact_model_scores(self, trained):
         for recipe in RECIPE_FLAGS:

@@ -123,13 +123,23 @@ class TestLabels:
         p.write_text("dim=2\nu1\tA\t1.0 2.0\nu2\t-\t3.0 4.0\n\nu3\tB\t5.0 6.0\n")
         assert load_labels(p) == {"u1": "A", "u3": "B"}
 
-    @pytest.mark.parametrize("row", ["u2\tB", "u2\tB\t1.0", "u2\tB\t1.0 2.0 3.0"],
-                             ids=["two_fields", "too_few_values", "too_many_values"])
+    @pytest.mark.parametrize("row", ["u2\tB"], ids=["two_fields"])
     def test_vector_set_labels_reject_malformed_row(self, tmp_path, row):
         p = tmp_path / "x.ivec"
         p.write_text("dim=2\nu1\tA\t1.0 2.0\n%s\n" % row)
         with pytest.raises(FormatError, match=":3:"):
             load_labels(p)
+
+    @pytest.mark.parametrize("row", ["u2\tB\t1.0", "u2\tB\t1.0 2.0 3.0", "u2\tB\t1.0 x"],
+                             ids=["too_few_values", "too_many_values", "unparseable_value"])
+    def test_vector_set_labels_do_not_read_values(self, tmp_path, row):
+        """Read as labels, a vector set's values are neither counted nor parsed;
+        read as vectors, the same row is refused."""
+        p = tmp_path / "x.ivec"
+        p.write_text("dim=2\nu1\tA\t1.0 2.0\n%s\n" % row)
+        assert load_labels(p) == {"u1": "A", "u2": "B"}
+        with pytest.raises(FormatError, match=":3:"):
+            load_ivector_set(p)
 
 
 class TestConfigParsing:
@@ -325,6 +335,26 @@ class TestSharedRecordReader:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
+    def test_vector_set_labels_match_loaded_set(self, data):
+        n, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+        ids = data.draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+        labels = data.draw(st.lists(st.none() | NAMES, min_size=n, max_size=n))
+        original = IVectorSet(tuple(Utterance(i, Domain.TST, lab) for i, lab in zip(ids, labels)),
+                              draw_matrix(data, n, d))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.ivec"
+            save_ivector_set(original, path)
+            insert_blank_lines(data, path, first=1)
+            expected = {u.id: u.label for u in load_ivector_set(path).utterances
+                        if u.label is not None}
+            if not expected:
+                with pytest.raises(FormatError, match="no labels found"):
+                    load_labels(path)
+            else:
+                assert load_labels(path) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
     def test_transcripts_round_trip(self, data):
         docs = [Transcript(utt_id, tuple(tokens)) for utt_id, tokens in data.draw(
             st.lists(st.tuples(NAMES, st.lists(NAMES, max_size=4)), max_size=5))]
@@ -350,6 +380,68 @@ class TestSharedRecordReader:
         path.write_text(text)
         with pytest.raises(FormatError, match="^%s:%d: expected " % (re.escape(str(path)), line)):
             loader(path)
+
+
+# spellings float() accepts that repr never writes: signs, digit separators, an
+# upper-case exponent, bare points, an underflowing exponent and Arabic-Indic digits
+SPELLINGS = ["+1.5", "1_0", "1E3", "-0", "+0.0", ".5", "5.", "1e-400", "1.7e308", "-1.7e308",
+             "\u0661\u0662.\u0665"]
+NON_FINITE = ["inf", "-Infinity", "INF", "+inf", "1e400", "nan", "-NaN"]
+REFUSED = ["1,5", "0x10", "1e", "--1", "1_", "_1", "1__0", "1.5.2", "e3", "infinite", "1d0"]
+FINITE_TOKEN = st.one_of(FLOATS.map(repr), st.sampled_from(SPELLINGS))
+
+
+def write_value_files(tmp, rows):
+    """A vector set and a score table over the same token rows; row i is on line i + 2."""
+    width = len(rows[0])
+    ivec, scores = Path(tmp) / "x.ivec", Path(tmp) / "x.scores"
+    ivec.write_text("dim=%d\n" % width + "".join(
+        "u%d\tA\t%s\n" % (i, " ".join(row)) for i, row in enumerate(rows)), encoding="utf-8")
+    scores.write_text("sys\t%s\n" % "\t".join("c%d" % j for j in range(width)) + "".join(
+        "u%d\t%s\n" % (i, "\t".join(row)) for i, row in enumerate(rows)), encoding="utf-8")
+    return ivec, scores
+
+
+def draw_token_rows(data, token):
+    n, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    return [data.draw(st.lists(token, min_size=width, max_size=width)) for _ in range(n)]
+
+
+class TestValueCodec:
+    """Both value readers parse exactly what float() parses, to the same bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_values_are_float_of_each_token(self, data):
+        rows = draw_token_rows(data, FINITE_TOKEN)
+        expected = np.array([[float(t) for t in row] for row in rows])
+        with tempfile.TemporaryDirectory() as tmp:
+            ivec, scores = write_value_files(tmp, rows)
+            assert_bitwise_equal(load_ivector_set(ivec).vectors, expected)
+            assert_bitwise_equal(load_score_table(scores).scores, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_non_finite_spellings_in_a_vector_set(self, data):
+        # score tables refuse non-finite values after parsing, so only vector sets hold them
+        rows = draw_token_rows(data, FINITE_TOKEN | st.sampled_from(NON_FINITE))
+        expected = np.array([[float(t) for t in row] for row in rows])
+        with tempfile.TemporaryDirectory() as tmp:
+            ivec, _ = write_value_files(tmp, rows)
+            assert_bitwise_equal(load_ivector_set(ivec).vectors, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_refused_token_names_its_line(self, data):
+        rows = draw_token_rows(data, FINITE_TOKEN)
+        k = data.draw(st.integers(0, len(rows) - 1))
+        rows[k][data.draw(st.integers(0, len(rows[k]) - 1))] = data.draw(st.sampled_from(REFUSED))
+        with tempfile.TemporaryDirectory() as tmp:
+            for path, load in zip(write_value_files(tmp, rows),
+                                  (load_ivector_set, load_score_table)):
+                with pytest.raises(FormatError, match="^%s:%d: unparseable number$"
+                                   % (re.escape(str(path)), k + 2)):
+                    load(path)
 
 
 # any text, with the tab and every str.splitlines separator drawn often
