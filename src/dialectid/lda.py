@@ -4,7 +4,8 @@ Solves the generalized eigenproblem S_b u = lambda (S_w + ridge*I) u with
 class-count-weighted scatter matrices and keeps the top directions, at most
 (number of classes - 1) of them. Eigenvector signs follow a fixed
 convention (largest-magnitude entry positive) so fits serialize
-reproducibly.
+reproducibly. `fit_lda` imports scipy.linalg when called, so only a run that
+fits LDA pays its import time.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .data import IVectorSet, _freeze
 from .errors import NumericError, ValidationError
@@ -80,9 +80,11 @@ def fit_lda(data: IVectorSet, out_dim: Optional[int] = None,
     if ridge < 0:
         raise ValidationError("ridge must be nonnegative")
     s_w_reg = s_w + ridge * np.eye(d)
+    import scipy.linalg
+
     try:
         eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w_reg)
-    except scipy.linalg.LinAlgError as err:
+    except np.linalg.LinAlgError as err:  # the class scipy.linalg raises
         raise NumericError("within-class scatter singular; increase the ridge") from err
     order = np.argsort(eigvals)[::-1][:out_dim]
     basis = eigvecs[:, order]

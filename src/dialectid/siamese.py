@@ -368,8 +368,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.n_pairs < 1:
             raise ValidationError("epochs, batch_size and n_pairs must be positive")
-        if self.learning_rate < 0 or not 0.0 <= self.momentum < 1.0:
-            raise ValidationError("bad learning_rate/momentum")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValidationError("learning_rate must be finite and nonnegative, got %r"
+                                  % (self.learning_rate,))
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValidationError("momentum must be in [0, 1), got %r" % (self.momentum,))
         if max(self.n_pairs, self.epochs * self.n_pairs) > MAX_PAIR_STEPS:
             raise ValidationError("n_pairs %d and epochs x n_pairs = %d x %d must each be at "
                                   "most %d" % (self.n_pairs, self.epochs, self.n_pairs,

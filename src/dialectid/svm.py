@@ -6,15 +6,16 @@ in seeded shuffled order; retraining with the same seed is bitwise
 reproducible. Features may be dense arrays or scipy sparse matrices; all K
 labels share the shuffle, so one CSR sweep (`_kernels.svm_epochs`) trains them.
 A dense array enters that sweep as full rows over its own buffer, not as a
-CSR copy.
+CSR copy. scipy.sparse is imported only for a sparse input, so dense callers
+never pay its import time.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from . import _kernels
 from .data import _freeze
@@ -23,6 +24,16 @@ from .errors import ValidationError
 DEFAULT_C = 0.01
 DEFAULT_EPOCHS = 100
 MAX_STEPS = 10**8  # epochs x rows cap; the order table takes 8 B a step (800 MB)
+
+
+def _issparse(x) -> bool:
+    """scipy.sparse.issparse(x), without importing scipy.sparse.
+
+    A sparse matrix cannot exist before scipy.sparse is loaded, so an input
+    seen while it is not loaded is dense.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(x)
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,9 @@ def train_linear_svm(
     shuffle sequence. C must be finite and positive and epochs x rows at most
     MAX_STEPS; both are checked before the order table is allocated.
     """
-    if scipy.sparse.issparse(features):
+    if _issparse(features):
+        import scipy.sparse
+
         X = scipy.sparse.csr_matrix(features, dtype=np.float64, copy=True)
         X.sum_duplicates()  # canonical CSR: the sweep takes nnz == dim as a full row
         data, indices, indptr = X.data, X.indices, X.indptr
@@ -101,7 +114,7 @@ def train_linear_svm(
 
 def svm_decision(model: LinearSvmModel, x) -> np.ndarray:
     """Per-label decision values w_k . x + b_k; (K,) for one vector, (n, K) for a batch."""
-    if not scipy.sparse.issparse(x):  # CSR is scored as is, never densified
+    if not _issparse(x):  # CSR is scored as is, never densified
         x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.dim:
         raise ValidationError("feature dim %d does not match model dim %d"

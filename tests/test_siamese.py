@@ -435,10 +435,18 @@ class TestTrain:
             train(p, ds.trn, TrainConfig(epochs=2, n_pairs=128, learning_rate=1e200, seed=0))
         assert isinstance(exc.value.history, list)
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -1e-3])
+    def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+
     def test_overflowing_step_aborts_with_history(self):
-        # an infinite step makes the parameters themselves non-finite
-        ds = generate(SynthConfig(dim=24, seed=2, n_trn=6, n_dev=2, n_tst=2))
-        p = init_params(default_arch(24, 4), seed=2)
-        with pytest.raises(NumericError, match="non-finite parameters") as exc:
-            train(p, ds.trn, TrainConfig(epochs=2, n_pairs=128, learning_rate=np.inf, seed=0))
+        # the largest finite step times a gradient entry above 1 overflows, so
+        # the first step makes the parameters themselves non-finite
+        ds = generate(SynthConfig(dim=24, seed=1, n_trn=6, n_dev=2, n_tst=2))
+        p = init_params(default_arch(24, 4), seed=1)
+        cfg = TrainConfig(epochs=2, n_pairs=128, learning_rate=np.finfo(np.float64).max, seed=0)
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                        match="non-finite parameters") as exc:
+            train(p, ds.trn, cfg)
         assert exc.value.history == []

@@ -190,3 +190,48 @@ class TestSvmDecision:
         table = ScoreTable("svm", model.labels, ("u1",), svm_decision(model, np.zeros((1, 2))))
         # exact tie between A and B resolves to the earlier label
         assert classify_rows(table) == {"u1": "A"}
+
+
+def _input_forms(X):
+    """The same rows as every sparse type and dense form the SVM accepts."""
+    fortran = np.asfortranarray(X)
+    fortran.setflags(write=False)
+    sparse = {"csr_matrix": scipy.sparse.csr_matrix(X), "csr_array": scipy.sparse.csr_array(X),
+              "coo_matrix": scipy.sparse.coo_matrix(X)}
+    dense = {"c_array": np.ascontiguousarray(X), "fortran_readonly": fortran,
+             "nested_list": X.tolist()}
+    return sparse, dense
+
+
+class TestInputTypes:
+    """Every sparse type must take the sparse branch and every dense form the
+    dense one; the sparse check only asks scipy.sparse once it is loaded."""
+
+    def _rows(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(30, 12)) * (rng.random((30, 12)) < 0.4)
+        return X, [["a", "b", "c"][i % 3] for i in range(30)]
+
+    def test_training_bits_equal_across_input_types(self):
+        X, labels = self._rows()
+        sparse, dense = _input_forms(X)
+        ref = train_linear_svm(X, labels, epochs=9, seed=2)
+        for name, rows in {**sparse, **dense}.items():
+            got = train_linear_svm(rows, labels, epochs=9, seed=2)
+            np.testing.assert_array_equal(got.weights, ref.weights, err_msg=name)
+            np.testing.assert_array_equal(got.biases, ref.biases, err_msg=name)
+
+    def test_decision_bits_equal_within_sparse_and_dense(self):
+        X, labels = self._rows()
+        model = train_linear_svm(X, labels, epochs=9, seed=2)
+        sparse, dense = _input_forms(X)
+        for group in (sparse, dense):
+            got = {name: svm_decision(model, rows) for name, rows in group.items()}
+            first = next(iter(got.values()))
+            for name, dec in got.items():
+                assert type(dec) is np.ndarray and dec.shape == (30, 3), name
+                np.testing.assert_array_equal(dec, first, err_msg=name)
+        # a sparse product sums in another order than BLAS, so across groups
+        # the decisions agree to rounding only
+        np.testing.assert_allclose(svm_decision(model, sparse["csr_array"]),
+                                   svm_decision(model, X), rtol=0, atol=1e-12)
