@@ -13,7 +13,6 @@ from .data import (
     IVectorSet,
     ScoreTable,
     Utterance,
-    validate_dataset,
 )
 from .errors import DialectIdError, FormatError, NumericError, ValidationError
 
@@ -25,7 +24,6 @@ __all__ = [
     "IVectorSet",
     "ScoreTable",
     "Utterance",
-    "validate_dataset",
     "DialectIdError",
     "FormatError",
     "NumericError",

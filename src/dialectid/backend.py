@@ -52,12 +52,14 @@ def _siamese_arch(flags: dict) -> siamese.SiameseArch:
 
 
 def _check_labels(labels) -> None:
-    """The flags' ``labels`` must be what `cmd_train` writes: a sorted list of
-    distinct strings."""
+    """The flags' ``labels`` must be what `cmd_train` writes: a non-empty sorted
+    list of distinct strings, the labels of the TRN rows."""
     if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)
             and labels == sorted(set(labels))):
         raise ValidationError("labels %r are not a sorted list of distinct strings"
                               % (labels,))
+    if not labels:
+        raise ValidationError("there are no labels: every TRN row is unlabeled")
 
 
 def _project(projection: Projection, vectors: np.ndarray) -> np.ndarray:
@@ -75,10 +77,6 @@ class Backend:
     chain: whitening.WhiteningChain
     projection: Projection
     scorer: Scorer
-
-    @property
-    def dim(self) -> int:
-        return self.chain.stages[0].mean.shape[0]
 
     @classmethod
     def fit(cls, trn: IVectorSet, dev: Optional[IVectorSet], flags: dict) -> "Backend":
@@ -181,7 +179,7 @@ class Backend:
         """Read ``<model_dir>/model.json``; returns (backend, training flags, fingerprint).
 
         A fingerprint that does not match the flags, an unknown recipe, flags'
-        ``labels`` that are not a sorted list of distinct strings, a stage
+        ``labels`` that are not a non-empty sorted list of distinct strings, a stage
         entry the recipe needs but the file lacks, a wrong-typed entry, a
         stage count other than ``whiten_depth``, a first whitening stage
         whose dim is not the flags' ``dim``, or an array whose shape does

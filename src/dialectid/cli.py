@@ -19,7 +19,7 @@ import numpy as np
 
 from . import calibration, dialect_model, fileio, siamese, svm
 from .backend import RECIPES, Backend
-from .data import Domain, IVectorSet, ScoreTable, validate_dataset
+from .data import Domain, ScoreTable
 from .errors import DialectIdError, FormatError, NumericError, ValidationError
 from .metrics import confusion, render_report
 from .synth import SynthConfig, generate
@@ -57,25 +57,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_valid(path, domain: Domain) -> IVectorSet:
-    dataset = fileio.load_ivector_set(path, domain=domain)
-    report = validate_dataset(dataset)
-    if not report.ok:
-        raise ValidationError("%s fails validation: %s" % (path, "; ".join(report.violations)))
-    return dataset
-
-
 def cmd_train(args) -> int:
     data_dir = Path(args.data_dir)
-    trn = _load_valid(data_dir / "trn.ivec", Domain.TRN)
-    dev = _load_valid(data_dir / "dev.ivec", Domain.DEV) if args.use_dev else None
-    if dev is not None and dev.dim != trn.dim:
-        raise ValidationError("trn/dev dimension mismatch")
+    trn = fileio.load_ivector_set(data_dir / "trn.ivec", Domain.TRN)
+    dev = fileio.load_ivector_set(data_dir / "dev.ivec", Domain.DEV) if args.use_dev else None
     labels = sorted({u.label for u in trn.utterances if u.label is not None})
-    if not labels:
-        raise ValidationError("training data has no labels")
 
-    # everything Backend.fit reads; the model directory carries its fingerprint
+    # everything Backend.fit reads, and checks; the model directory carries its fingerprint
     flags = {
         "recipe": args.recipe,
         "whiten_depth": args.whiten_depth,
@@ -98,10 +86,7 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     backend, flags, fingerprint = Backend.load(args.model_dir)
-    data = _load_valid(args.data, Domain.TST)
-    if data.dim != backend.dim:
-        raise ValidationError("data dim %d does not match model dim %d"
-                              % (data.dim, backend.dim))
+    data = fileio.load_ivector_set(args.data, Domain.TST)
     data = data.subset(np.argsort(np.array(data.ids)))
     labels, scores = backend.score(data.vectors)
     table = ScoreTable(system_id="%s-%s" % (flags["recipe"], fingerprint[:8]),

@@ -2,6 +2,8 @@
 
 Every container is a frozen dataclass that takes each array through `_freeze`,
 so instances never alias a caller's array and can be shared across threads.
+An `IVectorSet` checks shapes only: the file readers in `fileio` refuse a
+repeated id or a non-finite value, naming its line, before a set is built.
 """
 from __future__ import annotations
 
@@ -99,33 +101,6 @@ class IVectorSet:
             raise ValidationError("cannot concatenate sets of dim %d and %d" % (self.dim, other.dim))
         return IVectorSet(self.utterances + other.utterances,
                           np.vstack([self.vectors, other.vectors]))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_dataset(dataset: IVectorSet) -> ValidationReport:
-    """Collect every invariant violation in `dataset`.
-
-    Violations are data, not failures: the report lists duplicate ids and
-    non-finite entries with the offending utterance id, and is empty for a
-    well-formed set. Idempotent and side-effect free.
-    """
-    violations = []
-    seen = set()
-    for i, utt in enumerate(dataset.utterances):
-        if utt.id in seen:
-            violations.append("duplicate id: %s" % utt.id)
-        seen.add(utt.id)
-        if not np.all(np.isfinite(dataset.vectors[i])):
-            violations.append("non-finite entry: %s" % utt.id)
-    return ValidationReport(tuple(violations))
 
 
 @dataclass(frozen=True)

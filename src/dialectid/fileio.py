@@ -4,7 +4,11 @@ Floats in the text formats are written with repr, and artifact arrays as
 raw float64, so values round-trip exactly and reruns write byte-identical
 files. The tab-separated formats share one reader:
 blank lines are skipped, and a row with the wrong field count is a
-FormatError ``path:line: expected ...``. Formats:
+FormatError ``path:line: expected ...``. Each file is checked once, by the
+reader that parses it: in a vector set, a score table and a labels file an
+id on two rows is a ValidationError ``path:line: duplicate utterance id``,
+and in a vector set or a score table a value that parses to inf or nan is a
+ValidationError ``path:line: non-finite value``. Formats:
 
 * vector set   — line 1 ``dim=<d>``, then ``utt_id<TAB>label_or_-<TAB>``
                  followed by d space-separated decimals per line;
@@ -125,6 +129,28 @@ def _parse_row(path, ln: int, tokens) -> np.ndarray:
         raise FormatError("%s:%d: unparseable number" % (path, ln))
 
 
+def _unique_ids(path, records):
+    """Pass `_records` rows through; an id (the first field) that an earlier
+    row holds is a ValidationError ``path:line: duplicate utterance id``."""
+    seen = set()
+    for ln, fields in records:
+        if fields[0] in seen:
+            raise ValidationError("%s:%d: duplicate utterance id %r" % (path, ln, fields[0]))
+        seen.add(fields[0])
+        yield ln, fields
+
+
+def _finite_matrix(path, lns, rows, width: int) -> np.ndarray:
+    """The parsed `rows` (from lines `lns`) as one (n, width) matrix. A row
+    holding inf or nan is a ValidationError ``path:line: non-finite value``
+    that names the first such row; the check is one pass over the matrix."""
+    matrix = np.vstack(rows) if rows else np.empty((0, width))
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ValidationError("%s:%d: non-finite value" % (path, lns[np.argmin(finite)]))
+    return matrix
+
+
 # ---------------------------------------------------------------------------
 # vector sets
 # ---------------------------------------------------------------------------
@@ -156,16 +182,16 @@ def _vector_rows(path, lines):
 def load_ivector_set(path, domain: Domain = Domain.TST) -> IVectorSet:
     """Read a vector set file; the split is implied by the file, not stored in it."""
     dim, entries = _vector_rows(path, _read_text(path).splitlines())
-    utts, rows = [], []
-    for ln, (utt_id, label, values) in entries:
+    utts, lns, rows = [], [], []
+    for ln, (utt_id, label, values) in _unique_ids(path, entries):
         tokens = values.split()
         if len(tokens) != dim:
             raise FormatError("%s:%d: expected %d values, got %d" % (path, ln, dim, len(tokens)))
         rows.append(_parse_row(path, ln, tokens))
+        lns.append(ln)
         utts.append(Utterance(id=utt_id, domain=domain,
                               label=None if label == UNLABELED else label))
-    matrix = np.vstack(rows) if rows else np.empty((0, dim))
-    return IVectorSet(tuple(utts), matrix)
+    return IVectorSet(tuple(utts), _finite_matrix(path, lns, rows, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +211,14 @@ def load_score_table(path) -> ScoreTable:
     if len(head) < 2:
         raise FormatError("%s: header must be system_id<TAB>labels..." % path)
     system_id, labels = head[0], tuple(head[1:])
-    utt_ids, rows = [], []
-    for ln, fields in _records(path, lines[1:], 1 + len(labels),
-                               "%d scores" % len(labels), first_line=2):
+    utt_ids, lns, rows = [], [], []
+    for ln, fields in _unique_ids(path, _records(path, lines[1:], 1 + len(labels),
+                                                 "%d scores" % len(labels), first_line=2)):
         utt_ids.append(fields[0])
+        lns.append(ln)
         rows.append(_parse_row(path, ln, fields[1:]))
-    scores = np.vstack(rows) if rows else np.empty((0, len(labels)))
     return ScoreTable(system_id=system_id, labels=labels, utt_ids=tuple(utt_ids),
-                      scores=scores)
+                      scores=_finite_matrix(path, lns, rows, len(labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +261,7 @@ def load_labels(path) -> dict[str, str]:
     vector_set = bool(lines) and lines[0].startswith("dim=")
     rows = (_vector_rows(path, lines)[1] if vector_set
             else _records(path, lines, 2, "utt_id<TAB>label"))
-    out: dict[str, str] = {}
-    for ln, (utt, label, *_) in rows:
-        if utt in out:
-            raise ValidationError("%s:%d: duplicate utterance id %r" % (path, ln, utt))
-        out[utt] = label
+    out = {utt: label for _, (utt, label, *_) in _unique_ids(path, rows)}
     if vector_set:
         out = {utt: label for utt, label in out.items() if label != UNLABELED}
     if not out:

@@ -384,8 +384,9 @@ def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
 
     Deterministic given config.seed (pair sampling and epoch shuffles both
     derive from it). Returns (trained params, per-epoch mean loss history).
-    A non-finite loss aborts with the partial history attached to the
-    raised NumericError.
+    A non-finite loss, or a step that leaves a parameter non-finite (checked
+    after every step, the last one too), aborts with the partial history
+    attached to the raised NumericError.
     """
     ia, ib, y = sample_pairs(
         data,
@@ -399,16 +400,13 @@ def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
     arrays = [a.copy() for a in params.weights + params.biases]  # weights, then biases
     velocity = [np.zeros_like(a) for a in arrays]
     history: list[float] = []
+    current = params
     for _ in range(config.epochs):
         order = rng.permutation(len(y))
         total = 0.0
         counted = 0
         for lo in range(0, len(y), config.batch_size):
             batch = order[lo:lo + config.batch_size]
-            try:  # the params refuse a step that overflowed, which is divergence too
-                current = params.replace_arrays(arrays[:n_layers], arrays[n_layers:])
-            except ValidationError as err:
-                raise NumericError("non-finite parameters (divergence)", history=history) from err
             try:
                 gw, gb, loss = grad(current, data.vectors[ia[batch]], data.vectors[ib[batch]],
                                     y[batch])
@@ -420,8 +418,12 @@ def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
                 v *= config.momentum
                 v -= config.learning_rate * g
                 a += v
+            try:  # the params refuse a step that overflowed, which is divergence too
+                current = params.replace_arrays(arrays[:n_layers], arrays[n_layers:])
+            except ValidationError as err:
+                raise NumericError("non-finite parameters (divergence)", history=history) from err
         epoch_loss = total / counted if counted else 0.0
         if not np.isfinite(epoch_loss):
             raise NumericError("training diverged (non-finite epoch loss)", history=history)
         history.append(epoch_loss)
-    return params.replace_arrays(arrays[:n_layers], arrays[n_layers:]), history
+    return current, history

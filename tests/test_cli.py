@@ -4,7 +4,10 @@ import io
 import json
 import math
 import os
+import re
+import shutil
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +16,21 @@ from hypothesis import strategies as st
 
 from dialectid.cli import main
 from dialectid.data import Domain, ScoreTable
-from dialectid.fileio import load_ivector_set, load_labels, load_score_table
+from dialectid.fileio import (load_ivector_set, load_labels, load_score_table,
+                              save_ivector_set)
 from dialectid.synth import SynthConfig, generate
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_captured(*argv):
+    """(exit code, stderr lines) of one CLI call; its stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(*argv)
+    return code, err.getvalue().splitlines()
 
 
 @pytest.fixture()
@@ -52,11 +64,9 @@ RECIPE_FLAGS = {
 
 class TestSynthCommand:
     def test_writes_three_valid_splits(self, data_dir):
-        from dialectid.data import validate_dataset
-
+        # the reader refuses a repeated id or a non-finite value
         for name, domain in (("trn", Domain.TRN), ("dev", Domain.DEV), ("tst", Domain.TST)):
             ds = load_ivector_set(data_dir / ("%s.ivec" % name), domain=domain)
-            assert validate_dataset(ds).ok
             assert len(ds) > 0
         truth = json.loads((data_dir / "ground_truth.json").read_text())
         assert truth["payload"]["labels"] == ["EGY", "LEV", "GLF", "NOR", "MSA"]
@@ -563,11 +573,9 @@ def score_with_model(root, text, sidecar):
             with open(os.path.join(model_dir, "model.f64"), "wb") as f:
                 f.write(sidecar)
         out = os.path.join(tmp, "x.scores")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = run("score", "--model-dir", model_dir, "--data", root / "data" / "tst.ivec",
-                       "--out", out)
-        return code, err.getvalue().splitlines(), os.path.exists(out)
+        code, err = run_captured("score", "--model-dir", model_dir,
+                                 "--data", root / "data" / "tst.ivec", "--out", out)
+        return code, err, os.path.exists(out)
 
 
 def assert_exit_4(result, names=""):
@@ -810,3 +818,134 @@ class TestWholeFileWrites:
         assert only_stderr_line(capsys).startswith("i/o error:")
         assert target.read_text() == "old\n"
         assert sorted(target.parent.iterdir()) == before
+
+
+def copy_data(trained, root, **replace):
+    """`root`/data holding tiny TRN and DEV, or `replace`'s file for a name."""
+    data = root / "data"
+    data.mkdir()
+    for name in ("trn", "dev"):
+        if name in replace:
+            replace[name](trained / "data" / ("%s.ivec" % name), data / ("%s.ivec" % name))
+        else:
+            shutil.copy(trained / "data" / ("%s.ivec" % name), data)
+    return data
+
+
+def first_16_values(src, dst):
+    """Write the vector set `src` to `dst` with the first 16 values of each row."""
+    ds = load_ivector_set(src)
+    save_ivector_set(ds.with_vectors(ds.vectors[:, :16]), dst)
+
+
+def unlabeled(src, dst):
+    """Write the vector set `src` to `dst` with every row's label replaced by ``-``."""
+    head, *rows = Path(src).read_text().splitlines(keepends=True)
+    Path(dst).write_text(head + "".join(
+        "%s\t-\t%s" % (row.split("\t")[0], row.split("\t")[2]) for row in rows))
+
+
+class TestDimAndLabelErrors:
+    """`Backend` and the whitening chain check dims and labels, not the CLI; each
+    refusal exits 2 with one line that names the dims or the missing labels, and
+    writes nothing."""
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_FLAGS))
+    def test_train_with_dev_of_another_dim(self, trained, tmp_path, recipe):
+        data = copy_data(trained, tmp_path, dev=first_16_values)
+        model = tmp_path / "model"
+        code, err = run_captured("train", "--recipe", recipe, "--data-dir", data,
+                                 "--model-dir", model, "--use-dev")
+        assert (code, len(err)) == (2, 1), err
+        assert not model.exists()
+        assert re.fullmatch(r"validation error: \D*\b32\b\D*\b16\b\D*", err[0]), err
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_FLAGS))
+    def test_score_tst_of_another_dim(self, trained, tmp_path, recipe):
+        tst, out = tmp_path / "tst.ivec", tmp_path / "tst.scores"
+        first_16_values(trained / "data" / "tst.ivec", tst)
+        code, err = run_captured("score", "--model-dir", trained / recipe, "--data", tst,
+                                 "--out", out)
+        assert (code, len(err)) == (2, 1), err
+        assert not out.exists()
+        assert re.fullmatch(r"validation error: \D*\b16\b\D*\b32\b\D*", err[0]), err
+
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_FLAGS))
+    def test_train_on_unlabeled_trn(self, trained, tmp_path, recipe):
+        data = copy_data(trained, tmp_path, trn=unlabeled)
+        model = tmp_path / "model"
+        code, err = run_captured("train", "--recipe", recipe, "--data-dir", data,
+                                 "--model-dir", model, *RECIPE_FLAGS[recipe])
+        assert (code, len(err)) == (2, 1), err
+        assert not model.exists()
+        assert "no labels" in err[0], err
+
+
+@pytest.fixture(scope="module")
+def cds_scores(trained):
+    """tiny TST scored by the trained cds model, in a directory of its own"""
+    out = trained / "cds-scores" / "tst.scores"
+    out.parent.mkdir()
+    assert run("score", "--model-dir", trained / "cds", "--data", trained / "data" / "tst.ivec",
+               "--out", out) == 0
+    return out
+
+
+# how a row is broken -> the exit code the README gives for it
+MUTATIONS = {"repeated-id": 2, "non-finite": 2, "dropped-value": 4, "unparseable": 4}
+NON_FINITE_SPELLINGS = ["nan", "-Infinity", "1e400"]
+UNPARSEABLE = ["1,5", "0x10", "abc", "1e", "--1"]
+
+
+class TestMutatedInputFiles:
+    """One broken row in a vector set or score table is refused by the command
+    that parses its values: exit 2 or 4, one stderr line that starts with the
+    file and the row's line, and no output."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_refused_by_line(self, trained, cds_scores, data):
+        name = data.draw(st.sampled_from(["trn.ivec", "dev.ivec", "tst.ivec", "tst.scores"]))
+        mutation = data.draw(st.sampled_from(sorted(MUTATIONS)))
+        src = cds_scores if name == "tst.scores" else trained / "data" / name
+        head, *rows = src.read_text().splitlines()
+        k = data.draw(st.integers(1, len(rows) - 1))
+        fields = rows[k].split("\t")
+        vector_set = name.endswith(".ivec")
+        values = fields[2].split(" ") if vector_set else fields[1:]
+        if mutation == "repeated-id":
+            fields[0] = rows[data.draw(st.integers(0, k - 1))].split("\t")[0]
+        else:
+            i = data.draw(st.integers(0, len(values) - 1))
+            if mutation == "dropped-value":
+                del values[i]
+            else:
+                values[i] = data.draw(st.sampled_from(
+                    NON_FINITE_SPELLINGS if mutation == "non-finite" else UNPARSEABLE))
+        rows[k] = "\t".join(fields[:2] + [" ".join(values)] if vector_set
+                            else fields[:1] + values)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            data_dir = copy_data(trained, root)
+            path = data_dir / name
+            path.write_text("\n".join([head] + rows) + "\n")
+            if name in ("trn.ivec", "dev.ivec"):
+                out = root / "model"
+                argv = ("train", "--recipe", "cds", "--use-dev", "--data-dir", data_dir,
+                        "--model-dir", out)
+            elif name == "tst.ivec":
+                out = root / "tst.scores"
+                argv = ("score", "--model-dir", trained / "cds", "--data", path, "--out", out)
+            elif data.draw(st.booleans()):
+                out = root / "report.txt"
+                argv = ("evaluate", "--scores", path, "--labels", trained / "data" / "tst.ivec",
+                        "--out", out)
+            else:
+                out = root / "fused"
+                argv = ("calibrate-fuse", "--scores", path, "--labels",
+                        trained / "data" / "tst.ivec", "--weights", "1.0", "--out-dir", out)
+            code, err = run_captured(*argv)
+            assert (code, len(err)) == (MUTATIONS[mutation], 1), err
+            prefix = "validation error: " if code == 2 else "i/o error: "
+            assert err[0].startswith("%s%s:%d: " % (prefix, path, k + 2)), err
+            assert not out.exists()

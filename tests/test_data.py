@@ -7,7 +7,6 @@ from dialectid.data import (
     IVectorSet,
     ScoreTable,
     Utterance,
-    validate_dataset,
 )
 from dialectid.errors import ValidationError
 
@@ -44,31 +43,6 @@ class TestIVectorSet:
         assert sub.ids == ("u0000", "u0002")
         both = sub.concat(s.subset([1, 3]))
         assert len(both) == 4
-
-
-class TestValidateDataset:
-    def test_well_formed_ok(self):
-        s = make_set(np.random.default_rng(0).normal(size=(2, 400)))
-        assert validate_dataset(s).ok
-
-    def test_duplicate_id_reported(self):
-        utts = (Utterance("same", Domain.TRN), Utterance("same", Domain.TRN))
-        s = IVectorSet(utts, np.zeros((2, 3)))
-        report = validate_dataset(s)
-        assert any("duplicate id: same" in v for v in report.violations)
-
-    def test_nan_entry_reported(self):
-        X = np.zeros((2, 4))
-        X[1, 2] = np.nan
-        s = make_set(X)
-        report = validate_dataset(s)
-        assert any(v == "non-finite entry: u0001" for v in report.violations)
-
-    def test_idempotent(self):
-        X = np.zeros((2, 4))
-        X[0, 0] = np.inf
-        s = make_set(X)
-        assert validate_dataset(s) == validate_dataset(s)
 
 
 class TestScoreTable:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialectid.data import Domain, IVectorSet, ScoreTable, Utterance, validate_dataset
+from dialectid.data import Domain, IVectorSet, ScoreTable, Utterance
 from dialectid.errors import FormatError, ValidationError
 from dialectid.fileio import (
     config_fingerprint,
@@ -39,7 +39,6 @@ class TestIVectorRoundTrip:
         np.testing.assert_array_equal(back.vectors, ds.trn.vectors)
         assert back.ids == ds.trn.ids
         assert [u.label for u in back.utterances] == [u.label for u in ds.trn.utterances]
-        assert validate_dataset(back).ok == validate_dataset(ds.trn).ok
 
     def test_unlabeled_round_trip(self, tmp_path):
         from helpers import make_set
@@ -423,12 +422,19 @@ class TestValueCodec:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_non_finite_spellings_in_a_vector_set(self, data):
-        # score tables refuse non-finite values after parsing, so only vector sets hold them
+        # every spelling that float() reads as inf or nan is refused, and the
+        # error names the first line that holds one
         rows = draw_token_rows(data, FINITE_TOKEN | st.sampled_from(NON_FINITE))
-        expected = np.array([[float(t) for t in row] for row in rows])
+        k = data.draw(st.integers(0, len(rows) - 1))
+        rows[k][data.draw(st.integers(0, len(rows[k]) - 1))] = data.draw(
+            st.sampled_from(NON_FINITE))
+        first = min(i for i, row in enumerate(rows)
+                    if not all(math.isfinite(float(t)) for t in row))
         with tempfile.TemporaryDirectory() as tmp:
             ivec, _ = write_value_files(tmp, rows)
-            assert_bitwise_equal(load_ivector_set(ivec).vectors, expected)
+            with pytest.raises(ValidationError, match="^%s:%d: non-finite value$"
+                               % (re.escape(str(ivec)), first + 2)):
+                load_ivector_set(ivec)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -442,6 +448,49 @@ class TestValueCodec:
                 with pytest.raises(FormatError, match="^%s:%d: unparseable number$"
                                    % (re.escape(str(path)), k + 2)):
                     load(path)
+
+
+class TestReadersCheckIdsAndValues:
+    """A vector set or score table is checked where it is read: a repeated id or
+    a non-finite value is a ValidationError that names its line."""
+
+    def test_well_formed_rows_load(self, tmp_path):
+        X = np.random.default_rng(0).normal(size=(2, 400))
+        ivec, scores = write_value_files(tmp_path, [list(map(repr, row)) for row in X.tolist()])
+        assert_bitwise_equal(load_ivector_set(ivec).vectors, X)
+        assert_bitwise_equal(load_score_table(scores).scores, X)
+
+    def test_repeated_id_names_its_line(self, tmp_path):
+        files = {"x.ivec": ("dim=1\nsame\tA\t0.5\nother\tB\t1.0\n\nsame\tB\t1.5\n",
+                            load_ivector_set, 5),
+                 "x.scores": ("sys\tA\nsame\t0.5\n\nsame\t1.5\n", load_score_table, 4),
+                 "x.tsv": ("same\tA\nsame\tB\n", load_labels, 2)}
+        for name, (text, load, line) in files.items():
+            (tmp_path / name).write_text(text)
+            with pytest.raises(ValidationError, match="^%s:%d: duplicate utterance id 'same'$"
+                               % (re.escape(str(tmp_path / name)), line)):
+                load(tmp_path / name)
+
+    def test_non_finite_value_names_its_line(self, tmp_path):
+        rows = [["0.0", "1.0"], ["0.0", "nan"], ["inf", "0.0"]]
+        for path, load in zip(write_value_files(tmp_path, rows),
+                              (load_ivector_set, load_score_table)):
+            with pytest.raises(ValidationError, match="^%s:3: non-finite value$"
+                               % re.escape(str(path))):
+                load(path)
+        # read as labels, a vector set's values are not parsed, so they are not checked
+        assert load_labels(tmp_path / "x.ivec") == {"u0": "A", "u1": "A", "u2": "A"}
+
+    def test_refusal_is_repeatable(self, tmp_path):
+        for path, load in zip(write_value_files(tmp_path, [["-inf", "0.0"]]),
+                              (load_ivector_set, load_score_table)):
+            before = path.read_bytes()
+            errors = []
+            for _ in range(2):
+                with pytest.raises(ValidationError) as exc:
+                    load(path)
+                errors.append(str(exc.value))
+            assert errors[0] == errors[1] and path.read_bytes() == before
 
 
 # any text, with the tab and every str.splitlines separator drawn often

@@ -450,3 +450,15 @@ class TestTrain:
                                                         match="non-finite parameters") as exc:
             train(p, ds.trn, cfg)
         assert exc.value.history == []
+
+    def test_overflowing_last_step_aborts_with_history(self):
+        # one batch: the step that overflows is the last one, after which no
+        # further batch would see the non-finite parameters
+        ds = generate(SynthConfig(dim=24, seed=1, n_trn=6, n_dev=2, n_tst=2))
+        p = init_params(default_arch(24, 4), seed=1)
+        cfg = TrainConfig(epochs=1, n_pairs=64, learning_rate=np.finfo(np.float64).max, seed=0)
+        assert cfg.batch_size >= cfg.n_pairs
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                        match="non-finite parameters") as exc:
+            train(p, ds.trn, cfg)
+        assert exc.value.history == []
