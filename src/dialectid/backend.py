@@ -1,31 +1,19 @@
-"""The trained back end and its model directory.
+"""The training flags, the back end fit with them, and its model directory.
 
-A `Backend` is the paper's fixed processing chain: a recursive whitening
-chain (each stage followed by length normalization), then an optional
-projection (LDA followed by length normalization, or the twin-network
-embedding), then a scorer (cosine dialect models or a linear SVM).
-Training and scoring both go through this object, so the order is written
-once, and `save`/`load` are the only code that knows the artifact payload.
-
-A model directory holds one artifact, ``model.json`` (kind ``"model"``),
-and its array sidecar ``model.f64`` (see `fileio.save_artifact`). The
-training flags fix everything about the chain but its arrays, so the
-payload holds the flags and the arrays only:
-
-* ``"flags"``: the training flags, whose fingerprint the artifact carries;
-* ``"chain"``: one ``{"mean", "matrix"}`` per whitening stage;
-* ``"lda"`` (``lda_cds``): ``{"mean", "basis"}``, or ``"siamese"``
-  (``siam_cds``): ``{"weights", "biases"}``, one array per layer;
-* ``"svm"`` (``baseline_svm``): ``{"weights", "biases"}``, or ``"models"``
-  (the cosine recipes): the (K, d) model matrix.
-
-`load` verifies the fingerprint, rebuilds every other field from the flags
-as `fit` does (the labels are the flags' ``labels`` and the twin network's
-layers come from `_siamese_arch`), and checks each stage against the flags.
+`TrainFlags` holds every training flag. A `Backend` is the paper's fixed
+chain: recursive whitening (each stage followed by length normalization),
+an optional projection (LDA then length normalization, or the
+twin-network embedding), then a scorer (cosine dialect models or a linear
+SVM). Training and scoring both go through it, so the order is written
+once, and `save` and `load` alone know the model directory: ``model.json``
+and its sidecar ``model.f64`` (see `fileio.save_artifact`). The payload
+holds the arrays and the ``"flags"``: the `TrainFlags` fields plus TRN's
+``dim`` and sorted ``labels``, which the fingerprint covers. `load`
+rebuilds all else from them, as `fit` does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -43,23 +31,66 @@ Projection = Optional[Union[lda.LdaProjection, siamese.SiameseParams]]
 Scorer = Union[dialect_model.DialectModelSet, svm.LinearSvmModel]
 
 
-def _siamese_arch(flags: dict) -> siamese.SiameseArch:
-    """The twin network's layers for the flags' ``dim`` and ``siam_out_dim``
-    (half the dim, at least 2, when that is None)."""
-    dim, out_dim = flags["dim"], flags["siam_out_dim"]
-    return siamese.default_arch(
-        input_dim=dim, output_dim=max(2, dim // 2) if out_dim is None else out_dim)
+def _flag(help_text: str, default=MISSING):
+    return field(default=default, metadata={"help": help_text})
 
 
-def _check_labels(labels) -> None:
-    """The flags' ``labels`` must be what `cmd_train` writes: a non-empty sorted
-    list of distinct strings, the labels of the TRN rows."""
+@dataclass(frozen=True)
+class TrainFlags:
+    """One field per `train` option (``whiten_depth`` is ``--whiten-depth``, a bool is a
+    switch), with its type, default and help text. The checks that need no data run
+    here, for every recipe; those that need it (epochs x rows, a dim) run where it is.
+    """
+
+    recipe: str = _flag("one of " + ", ".join(RECIPES))
+    whiten_depth: int = _flag("whitening stages, 1..%d" % whitening.DEFAULT_MAX_DEPTH, 1)
+    gamma: Optional[float] = _flag("weight of the DEV models in [0, 1], %g when omitted"
+                                   % dialect_model.DEFAULT_GAMMA, None)
+    use_dev: bool = _flag("fit on dev.ivec too, as --whiten-depth > 1 and --gamma need", False)
+    seed: int = _flag("seed of every random draw, at least 0", 0)
+    svm_c: float = _flag("SVM cost, finite and positive", svm.DEFAULT_C)
+    svm_epochs: int = _flag("epochs x rows must be 1..%d" % svm.MAX_STEPS, svm.DEFAULT_EPOCHS)
+    siam_out_dim: Optional[int] = _flag("embedding dim in 1..dim, dim // 2 when omitted", None)
+    siam_epochs: int = _flag("twin-network epochs, at least 0", 15)
+    siam_pairs: int = _flag("1..%d, as must be epochs x pairs" % siamese.MAX_PAIR_STEPS, 3000)
+    dev_emphasis: float = _flag("extra pair-sampling weight of DEV rows, at least 0", 0.0)
+
+    def __post_init__(self):
+        if self.recipe not in RECIPES:
+            raise ValidationError("unknown recipe %r (choose from %r)" % (self.recipe, RECIPES))
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0, got %d" % self.seed)
+        if not 1 <= self.whiten_depth <= whitening.DEFAULT_MAX_DEPTH:
+            raise ValidationError("whiten_depth must be in 1..%d" % whitening.DEFAULT_MAX_DEPTH)
+        if self.whiten_depth > 1 and not self.use_dev:
+            raise ValidationError("--whiten-depth > 1 requires --use-dev as the matched subset")
+        if self.gamma is not None:
+            if not self.use_dev:
+                raise ValidationError("--gamma requires --use-dev (no in-domain means otherwise)")
+            if self.recipe == "baseline_svm":
+                raise ValidationError("--gamma does not apply to the SVM recipe")
+            dialect_model.check_gamma(self.gamma)
+        svm.check_options(self.svm_c, self.svm_epochs)
+        if self.siam_out_dim is not None and self.siam_out_dim < 1:
+            raise ValidationError("siam_out_dim must be at least 1, got %d" % self.siam_out_dim)
+        self.siamese_config()  # TrainConfig checks the twin-network fields
+
+    def siamese_config(self) -> siamese.TrainConfig:
+        return siamese.TrainConfig(epochs=self.siam_epochs, n_pairs=self.siam_pairs,
+                                   dev_emphasis=self.dev_emphasis, seed=self.seed)
+
+    def siamese_arch(self, dim: int) -> siamese.SiameseArch:
+        return siamese.default_arch(input_dim=dim, output_dim=self.siam_out_dim or dim // 2)
+
+
+def _checked_labels(labels) -> list:
+    """``labels`` if `Backend.fit` could derive them: sorted distinct strings, at least one."""
     if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)
             and labels == sorted(set(labels))):
-        raise ValidationError("labels %r are not a sorted list of distinct strings"
-                              % (labels,))
+        raise ValidationError("labels %r are not a sorted list of distinct strings" % (labels,))
     if not labels:
         raise ValidationError("there are no labels: every TRN row is unlabeled")
+    return labels
 
 
 def _project(projection: Projection, vectors: np.ndarray) -> np.ndarray:
@@ -72,44 +103,26 @@ def _project(projection: Projection, vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Backend:
-    """Whitening chain -> optional projection -> scorer."""
+    """Whitening chain -> optional projection -> scorer, fit with `flags`."""
 
+    flags: TrainFlags
     chain: whitening.WhiteningChain
     projection: Projection
     scorer: Scorer
 
     @classmethod
-    def fit(cls, trn: IVectorSet, dev: Optional[IVectorSet], flags: dict) -> "Backend":
-        """Fit every stage, in processing order, from the training flags.
+    def fit(cls, trn: IVectorSet, dev: Optional[IVectorSet], flags: TrainFlags) -> "Backend":
+        """Fit every stage in processing order; the dim and the sorted labels come from TRN.
 
-        `flags` is the dict whose fingerprint the model directory carries
-        (see `dialectid.cli.cmd_train` for its keys), so everything the fit
-        reads is fingerprinted. `dev` is the DEV set when ``use_dev`` is
-        set, else None: it is the matched subset for deeper whitening
-        stages, joins TRN for the LDA, twin-network and SVM fits, and gives
-        the in-domain models that the TRN models are interpolated with.
-        ``gamma`` needs ``use_dev`` and a cosine recipe, and a ``whiten_depth``
-        above 1 needs ``use_dev``.
+        `dev`, given exactly when ``flags.use_dev`` is set, is the matched
+        subset for deeper whitening stages, joins TRN for the LDA,
+        twin-network and SVM fits, and gives the in-domain models.
         """
-        recipe = flags["recipe"]
-        if recipe not in RECIPES:
-            raise ValidationError("unknown recipe %r (choose from %r)" % (recipe, RECIPES))
-        if flags["seed"] < 0:
-            raise ValidationError("seed must be >= 0, got %d" % flags["seed"])
-        if flags["gamma"] is not None and not flags["use_dev"]:
-            raise ValidationError("--gamma requires --use-dev (no in-domain means otherwise)")
-        if flags["gamma"] is not None and recipe == "baseline_svm":
-            raise ValidationError("--gamma does not apply to the SVM recipe")
-        if flags["whiten_depth"] > 1 and not flags["use_dev"]:
-            raise ValidationError("--whiten-depth > 1 requires --use-dev as the matched subset")
-        if (dev is not None) != flags["use_dev"]:
+        if (dev is not None) != flags.use_dev:
             raise ValidationError("a DEV set must be given exactly when use_dev is set")
-        if trn.dim != flags["dim"]:
-            raise ValidationError("TRN dim %d is not the flags' dim %r" % (trn.dim, flags["dim"]))
-        labels = flags["labels"]
-        _check_labels(labels)
+        labels = _checked_labels(sorted({u.label for u in trn.utterances if u.label is not None}))
         chain = whitening.fit_recursive_chain(
-            primary=trn, matched=dev if dev is not None else trn, depth=flags["whiten_depth"]
+            primary=trn, matched=dev if dev is not None else trn, depth=flags.whiten_depth
         )
         trn = trn.with_vectors(whitening.apply_chain(chain, trn.vectors))
         if dev is not None:
@@ -120,32 +133,30 @@ class Backend:
             return trn.concat(dev) if dev is not None else trn
 
         projection = None
-        if recipe == "lda_cds":
+        if flags.recipe == "lda_cds":
             projection = lda.fit_lda(pooled())
-        elif recipe == "siam_cds":
-            config = siamese.TrainConfig(
-                epochs=flags["siam_epochs"], n_pairs=flags["siam_pairs"],
-                dev_emphasis=flags["dev_emphasis"], seed=flags["seed"],
-            )
+        elif flags.recipe == "siam_cds":
             projection, _ = siamese.train(
-                siamese.init_params(_siamese_arch(flags), seed=flags["seed"]), pooled(), config)
+                siamese.init_params(flags.siamese_arch(trn.dim), seed=flags.seed), pooled(),
+                flags.siamese_config())
 
-        if recipe == "baseline_svm":
+        if flags.recipe == "baseline_svm":
             fit_set = pooled()
             scorer = svm.train_linear_svm(
                 fit_set.vectors, [u.label for u in fit_set.utterances],
-                C=flags["svm_c"], epochs=flags["svm_epochs"], seed=flags["seed"],
-                class_labels=labels,
+                C=flags.svm_c, epochs=flags.svm_epochs, seed=flags.seed, class_labels=labels,
             )
         else:
             scorer = dialect_model.fit_dialect_means(
                 trn.with_vectors(_project(projection, trn.vectors)), labels)
             if dev is not None:
-                gamma = dialect_model.DEFAULT_GAMMA if flags["gamma"] is None else flags["gamma"]
+                gamma = dialect_model.DEFAULT_GAMMA if flags.gamma is None else flags.gamma
                 dev_models = dialect_model.fit_dialect_means(
                     dev.with_vectors(_project(projection, dev.vectors)), labels)
                 scorer = dialect_model.interpolate_models(scorer, dev_models, gamma)
-        return cls(chain, projection, scorer)
+        if isinstance(projection, lda.LdaProjection):  # C order, so it scores as loaded
+            projection = lda.LdaProjection(projection.mean, np.ascontiguousarray(projection.basis))
+        return cls(flags, chain, projection, scorer)
 
     def score(self, vectors: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
         """Raw (n, dim) vectors -> (labels, (n, K) scores)."""
@@ -155,8 +166,10 @@ class Backend:
             return labels, svm.svm_decision(self.scorer, vectors)
         return labels, dialect_model.cds_score(self.scorer, vectors)
 
-    def save(self, model_dir, flags: dict) -> str:
+    def save(self, model_dir) -> str:
         """Write ``<model_dir>/model.json`` and its sidecar; returns the flags' fingerprint."""
+        flags = {**asdict(self.flags), "dim": self.chain.stages[0].mean.size,
+                 "labels": list(self.scorer.labels)}
         payload = {"flags": flags, "chain": [{"mean": st.mean, "matrix": st.matrix}
                                              for st in self.chain.stages]}
         p = self.projection
@@ -175,51 +188,41 @@ class Backend:
         return fingerprint
 
     @classmethod
-    def load(cls, model_dir) -> tuple["Backend", dict, str]:
-        """Read ``<model_dir>/model.json``; returns (backend, training flags, fingerprint).
-
-        A fingerprint that does not match the flags, an unknown recipe, flags'
-        ``labels`` that are not a non-empty sorted list of distinct strings, a stage
-        entry the recipe needs but the file lacks, a wrong-typed entry, a
-        stage count other than ``whiten_depth``, a first whitening stage
-        whose dim is not the flags' ``dim``, or an array whose shape does
-        not fit the stages around it raises FormatError, as does every
-        sidecar fault `fileio.load_artifact` finds.
-        """
+    def load(cls, model_dir) -> tuple["Backend", str]:
+        """Read ``<model_dir>/model.json``; returns (backend, fingerprint). Every fault
+        README "File formats" lists for a model directory is a FormatError."""
         path = Path(model_dir) / MODEL_FILE
         payload, stored = fileio.load_artifact(path, "model")
         try:
-            flags = payload["flags"]
-            fingerprint = fileio.config_fingerprint(flags)
+            stored_flags = payload["flags"]
+            fingerprint = fileio.config_fingerprint(stored_flags)
             if stored != fingerprint:
                 raise FormatError("%s: fingerprint does not match its flags" % path)
-            recipe = flags["recipe"]
-            if recipe not in RECIPES:
-                raise FormatError("%s: unknown recipe %r" % (path, recipe))
-            labels = flags["labels"]
-            _check_labels(labels)
+            flags = TrainFlags(**{k: v for k, v in stored_flags.items()
+                                  if k not in ("dim", "labels")})
+            labels = _checked_labels(stored_flags["labels"])
             chain = whitening.WhiteningChain([whitening.WhiteningStage(**st)
                                               for st in payload["chain"]])
-            if chain.depth != flags["whiten_depth"]:
+            if chain.depth != flags.whiten_depth:
                 raise FormatError("%s: %d whitening stages, but whiten_depth is %r"
-                                  % (path, chain.depth, flags["whiten_depth"]))
+                                  % (path, chain.depth, flags.whiten_depth))
             # before the projection, whose shapes follow from the dim
             dim = chain.stages[0].mean.size
-            if type(flags["dim"]) is not int or dim != flags["dim"]:
+            if type(stored_flags["dim"]) is not int or dim != stored_flags["dim"]:
                 raise FormatError("%s: whitening dim %d is not the flags' dim %r"
-                                  % (path, dim, flags["dim"]))
+                                  % (path, dim, stored_flags["dim"]))
             projection = None
-            if recipe == "lda_cds":
+            if flags.recipe == "lda_cds":
                 projection = lda.LdaProjection(**payload["lda"])
-            elif recipe == "siam_cds":
-                projection = siamese.SiameseParams(_siamese_arch(flags), **payload["siamese"])
-            if recipe == "baseline_svm":
+            elif flags.recipe == "siam_cds":
+                projection = siamese.SiameseParams(flags.siamese_arch(dim), **payload["siamese"])
+            if flags.recipe == "baseline_svm":
                 scorer = svm.LinearSvmModel(labels, **payload["svm"])
             else:
                 scorer = dialect_model.DialectModelSet(labels, payload["models"])
-            backend = cls(chain, projection, scorer)
+            backend = cls(flags, chain, projection, scorer)
             backend.score(np.empty((0, dim)))  # each stage's dim against the next
         except (LookupError, TypeError, ValueError, AttributeError, ValidationError) as err:
             raise FormatError("%s: malformed model (%s: %s)"
                               % (path, type(err).__name__, err)) from err
-        return backend, flags, fingerprint
+        return backend, fingerprint

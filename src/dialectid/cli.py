@@ -2,9 +2,8 @@
 
 Every subcommand is deterministic given its inputs and seed; rerunning a
 command writes byte-identical files, and every file is written whole (see
-`fileio.write_whole`). A model directory's ``model.json`` carries the
-fingerprint of the training flags, which scoring verifies before trusting it,
-and the size and sha256 of its array sidecar ``model.f64``.
+`fileio.write_whole`). `train` checks every flag before it opens a file, and
+`score` verifies a model directory (see `backend.Backend.load`).
 
 Exit codes: 0 success, 2 validation failure, 3 numeric failure, 4 I/O or
 format failure.
@@ -12,13 +11,15 @@ format failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from . import calibration, dialect_model, fileio, siamese, svm
-from .backend import RECIPES, Backend
+from . import calibration, dialect_model, fileio
+from .backend import Backend, TrainFlags
 from .data import Domain, ScoreTable
 from .errors import DialectIdError, FormatError, NumericError, ValidationError
 from .metrics import confusion, render_report
@@ -58,38 +59,22 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # every flag is checked here, before a file is opened
+    flags = TrainFlags(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainFlags)})
     data_dir = Path(args.data_dir)
     trn = fileio.load_ivector_set(data_dir / "trn.ivec", Domain.TRN)
-    dev = fileio.load_ivector_set(data_dir / "dev.ivec", Domain.DEV) if args.use_dev else None
-    labels = sorted({u.label for u in trn.utterances if u.label is not None})
-
-    # everything Backend.fit reads, and checks; the model directory carries its fingerprint
-    flags = {
-        "recipe": args.recipe,
-        "whiten_depth": args.whiten_depth,
-        "gamma": args.gamma,
-        "use_dev": bool(args.use_dev),
-        "seed": args.seed,
-        "dim": trn.dim,
-        "labels": labels,
-        "svm_c": args.svm_c,
-        "svm_epochs": args.svm_epochs,
-        "siam_out_dim": args.siam_out_dim,
-        "siam_epochs": args.siam_epochs,
-        "siam_pairs": args.siam_pairs,
-        "dev_emphasis": args.dev_emphasis,
-    }
-    fingerprint = Backend.fit(trn, dev, flags).save(args.model_dir, flags)
-    print("trained %s -> %s (fingerprint %s)" % (args.recipe, args.model_dir, fingerprint))
+    dev = fileio.load_ivector_set(data_dir / "dev.ivec", Domain.DEV) if flags.use_dev else None
+    fingerprint = Backend.fit(trn, dev, flags).save(args.model_dir)
+    print("trained %s -> %s (fingerprint %s)" % (flags.recipe, args.model_dir, fingerprint))
     return 0
 
 
 def cmd_score(args) -> int:
-    backend, flags, fingerprint = Backend.load(args.model_dir)
+    backend, fingerprint = Backend.load(args.model_dir)
     data = fileio.load_ivector_set(args.data, Domain.TST)
     data = data.subset(np.argsort(np.array(data.ids)))
     labels, scores = backend.score(data.vectors)
-    table = ScoreTable(system_id="%s-%s" % (flags["recipe"], fingerprint[:8]),
+    table = ScoreTable(system_id="%s-%s" % (backend.flags.recipe, fingerprint[:8]),
                        labels=labels, utt_ids=data.ids, scores=scores)
     fileio.save_score_table(table, args.out)
     print("wrote %d score rows to %s" % (len(table), args.out))
@@ -164,22 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="fit a recipe on trn.ivec (and dev.ivec)")
-    p.add_argument("--recipe", required=True, choices=RECIPES)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--model-dir", required=True)
-    p.add_argument("--whiten-depth", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--use-dev", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--svm-c", type=float, default=svm.DEFAULT_C)
-    p.add_argument("--svm-epochs", type=int, default=svm.DEFAULT_EPOCHS,
-                   help="epochs x training rows must be at most %d" % svm.MAX_STEPS)
-    p.add_argument("--siam-out-dim", type=int, default=None)
-    p.add_argument("--siam-epochs", type=int, default=15)
-    p.add_argument("--siam-pairs", type=int, default=3000,
-                   help="pairs and siam-epochs x pairs must each be at most %d"
-                   % siamese.MAX_PAIR_STEPS)
-    p.add_argument("--dev-emphasis", type=float, default=0.0)
+    types = typing.get_type_hints(TrainFlags)
+    for f in dataclasses.fields(TrainFlags):  # one option per field, ``Optional[T]`` as T
+        kind = (typing.get_args(types[f.name]) or (types[f.name],))[0]
+        how = {"action": "store_true"} if kind is bool else {
+            "type": kind, "default": f.default, "required": f.default is dataclasses.MISSING}
+        p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"], **how)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score", help="score a vector set file with a trained model")

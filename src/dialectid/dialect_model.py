@@ -64,6 +64,11 @@ def fit_dialect_means(
     return DialectModelSet(labels=tuple(labels), models=np.array(models))
 
 
+def check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma <= 1.0:
+        raise ValidationError("gamma must lie in [0, 1], got %g" % gamma)
+
+
 def interpolate_models(
     trn: DialectModelSet, dev: DialectModelSet, gamma: float = DEFAULT_GAMMA
 ) -> DialectModelSet:
@@ -72,8 +77,7 @@ def interpolate_models(
         raise ValidationError("label sets differ: %r vs %r" % (trn.labels, dev.labels))
     if trn.dim != dev.dim:
         raise ValidationError("model dims differ: %d vs %d" % (trn.dim, dev.dim))
-    if not 0.0 <= gamma <= 1.0:
-        raise ValidationError("gamma must lie in [0, 1], got %g" % gamma)
+    check_gamma(gamma)
     mixed = (1.0 - gamma) * trn.models + gamma * dev.models
     norms = np.linalg.norm(mixed, axis=1, keepdims=True)
     if np.any(norms == 0.0):

@@ -1,37 +1,27 @@
 """File formats: datasets, score tables, transcripts, configs, artifacts.
 
-Floats in the text formats are written with repr, and artifact arrays as
-raw float64, so values round-trip exactly and reruns write byte-identical
-files. The tab-separated formats share one reader:
-blank lines are skipped, and a row with the wrong field count is a
-FormatError ``path:line: expected ...``. Each file is checked once, by the
-reader that parses it: in a vector set, a score table and a labels file an
-id on two rows is a ValidationError ``path:line: duplicate utterance id``,
-and in a vector set or a score table a value that parses to inf or nan is a
-ValidationError ``path:line: non-finite value``. Formats:
+README "File formats" gives each format. Floats in the text formats are
+written with repr, and artifact arrays as raw float64, so values
+round-trip exactly and reruns write byte-identical files. The
+tab-separated formats share one reader: blank lines are skipped, and a row
+with the wrong field count is a FormatError ``path:line: expected ...``.
+Each file is checked once, by the reader that parses it: in a vector set,
+a score table and a labels file an id on two rows is a ValidationError
+``path:line: duplicate utterance id``, and in a vector set or a score
+table a value that parses to inf or nan is a ValidationError
+``path:line: non-finite value``. A vector set read as labels has its
+header, field count, ids and labels checked, but its values are neither
+counted nor parsed.
 
-* vector set   — line 1 ``dim=<d>``, then ``utt_id<TAB>label_or_-<TAB>``
-                 followed by d space-separated decimals per line;
-* score table  — header ``system_id<TAB>label1<TAB>...``, then one
-                 ``utt_id<TAB>s1<TAB>...`` row per utterance;
-* transcripts  — ``utt_id<TAB>token token ...`` (UTF-8); a token is never
-                 empty and holds no whitespace;
-* labels       — ``utt_id<TAB>label`` rows, or any vector set file, whose
-                 header, field count, ids and labels are checked but whose
-                 values are neither counted nor parsed;
-* configs      — ``key=value`` lines with ``#`` comments, unknown keys are
-                 rejected by the consumer;
-* artifacts    — a JSON file ``<stem>.json``, one object ``{"arrays",
-                 "format_version", "kind", "fingerprint", "payload"}``, plus
-                 one raw sidecar ``<stem>.f64`` that holds every array of the
-                 payload as little-endian float64, in the order the
-                 sorted-key JSON encoding meets them. In the JSON each array
-                 is a reference ``{"f64": offset, "shape": [...]}`` (offset
-                 in float64 values), and ``"arrays"`` gives the sidecar's
-                 ``"bytes"`` and ``"sha256"``. `load_artifact` checks the
-                 version, the kind, the sidecar's size and hash, every
-                 reference's range and that every value is finite, and hands
-                 the fingerprint to the caller to verify.
+An artifact is a strict JSON file ``<stem>.json``, one object
+``{"arrays", "format_version", "kind", "fingerprint", "payload"}``, plus a
+raw sidecar ``<stem>.f64`` that holds every array of the payload as
+little-endian float64, in the order the sorted-key JSON encoding meets
+them. In the JSON each array is a reference ``{"f64": offset, "shape":
+[...]}`` (offset in float64 values), and ``"arrays"`` gives the sidecar's
+``"bytes"`` and ``"sha256"``. `load_artifact` checks the version, the
+kind, the sidecar's size and hash, every reference's range and that every
+value is finite, and hands the fingerprint to the caller to verify.
 
 Every writer goes through `write_whole`, so a file is either left as it was
 or replaced by the complete new content, never half-written. A writer refuses,
@@ -300,8 +290,15 @@ def parse_config(path, known_keys: Optional[Sequence[str]] = None) -> dict[str, 
 _F64 = np.dtype("<f8")
 
 
+def _strict_json(value, where) -> str:
+    try:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as err:
+        raise ValidationError("%s: %s" % (where, err))
+
+
 def config_fingerprint(payload: Mapping) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canon = _strict_json(payload, "fingerprinted config")
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
@@ -351,7 +348,7 @@ def save_artifact(path, kind: str, fingerprint: str, payload: Mapping) -> None:
 
     The sidecar is written first and `path` last, so `path` is the commit
     point: a crash between the two leaves a pair whose hash does not match.
-    A non-finite array value, which `load_artifact` refuses, is a
+    A non-finite value, array or not, which `load_artifact` refuses, is a
     ValidationError before anything is written.
     """
     arrays: list = []
@@ -367,19 +364,23 @@ def save_artifact(path, kind: str, fingerprint: str, payload: Mapping) -> None:
         "fingerprint": fingerprint,
         "payload": payload,
     }
+    text = _strict_json(blob, path) + "\n"  # compact, so json's C encoder does the work
     write_whole(sidecar_path(path), data)
-    # compact separators, no indent: json's C encoder then does the work
-    write_whole(path, json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n")
+    write_whole(path, text)
 
 
 def load_artifact(path, kind: str) -> tuple[dict, str]:
     """(payload, stored fingerprint) of a `kind` artifact; the caller checks the fingerprint.
 
     The payload's arrays are read-only float64 views of the sidecar, which
-    must match the envelope's size and sha256 and hold only finite values.
+    must match the envelope's size and sha256 and hold only finite values;
+    the ``NaN`` and ``Infinity`` tokens, which strict JSON lacks, are refused.
     """
+    def refuse(token):
+        raise FormatError("%s: %s is not strict JSON" % (path, token))
+
     try:
-        blob = json.loads(_read_text(path))
+        blob = json.loads(_read_text(path), parse_constant=refuse)
     except json.JSONDecodeError as err:
         raise FormatError("%s: invalid JSON artifact: %s" % (path, err))
     if not isinstance(blob, dict):

@@ -23,6 +23,8 @@ ZERO_EMBEDDING_EPS = 1e-12
 # cap on n_pairs and on epochs x n_pairs: the pair tables take 24 B a pair and each
 # epoch's shuffle 8 B (320 MB at the cap), and a pair step costs about 0.25 ms at dim 400
 MAX_PAIR_STEPS = 10**7
+# the default stack's least input dim: 8 + 2 x (8 - 1), so its second conv has one output
+DEFAULT_MIN_DIM = 22
 # rows per `forward_batch` block, so that its working memory does not grow with n
 FORWARD_ROWS = 256
 
@@ -123,13 +125,14 @@ def default_arch(input_dim: int = 400, output_dim: int = 200) -> SiameseArch:
 
     The embedding may not be wider than the input.
     """
+    if input_dim < DEFAULT_MIN_DIM:
+        raise ValidationError("input dim %d too small for the default stack, which needs "
+                              "at least %d" % (input_dim, DEFAULT_MIN_DIM))
     if not 1 <= output_dim <= input_dim:
         raise ValidationError("embedding dim must be in 1..%d (the input dim), got %d"
                               % (input_dim, output_dim))
     t1 = (input_dim - 8) // 2 + 1
     t2 = (t1 - 8) // 2 + 1
-    if t2 < 1:
-        raise ValidationError("input dim %d too small for the default stack" % input_dim)
     return SiameseArch(
         layers=(
             Conv1d(kernel=8, in_channels=1, out_channels=4, stride=2, activation="tanh"),
@@ -284,6 +287,14 @@ def grad(params: SiameseParams, xa: np.ndarray, xb: np.ndarray, y: np.ndarray):
     return grads_w, grads_b, mean_loss
 
 
+def _check_dev_emphasis(dev_emphasis: float, rows: int = 1) -> None:
+    """DEV rows weigh 1 + dev_emphasis; rows = 1 leaves the checks any rows need."""
+    # in Python floats, which overflow to inf without a numpy warning
+    if not (dev_emphasis >= 0.0 and math.isfinite((1.0 + float(dev_emphasis)) * rows)):
+        raise ValidationError("dev_emphasis must be nonnegative and keep (1 + dev_emphasis) x "
+                              "rows finite; got %r, rows=%d" % (dev_emphasis, rows))
+
+
 def _cdf(p: np.ndarray) -> np.ndarray:
     """The cdf that `Generator.choice` searches to draw with probabilities `p`."""
     cdf = p.cumsum()
@@ -314,10 +325,7 @@ def sample_pairs(
     labeled = np.flatnonzero([u.label is not None for u in data.utterances])
     if not labeled.size:
         raise ValidationError("pair sampling needs labeled utterances")
-    # in Python floats, which overflow to inf without a numpy warning
-    if not (dev_emphasis >= 0.0 and math.isfinite((1.0 + float(dev_emphasis)) * labeled.size)):
-        raise ValidationError("dev_emphasis must be nonnegative and keep the weights of %d "
-                              "labeled rows finite, got %r" % (labeled.size, dev_emphasis))
+    _check_dev_emphasis(dev_emphasis, labeled.size)
     lab = np.array([data.utterances[i].label for i in labeled])
     labels = sorted(set(lab.tolist()))
     n_pos = int(round(n_pairs * positive_fraction))
@@ -373,6 +381,7 @@ class TrainConfig:
                                   % (self.learning_rate,))
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError("momentum must be in [0, 1), got %r" % (self.momentum,))
+        _check_dev_emphasis(self.dev_emphasis)
         if max(self.n_pairs, self.epochs * self.n_pairs) > MAX_PAIR_STEPS:
             raise ValidationError("n_pairs %d and epochs x n_pairs = %d x %d must each be at "
                                   "most %d" % (self.n_pairs, self.epochs, self.n_pairs,

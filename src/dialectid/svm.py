@@ -58,6 +58,17 @@ class LinearSvmModel:
         return self.weights.shape[1]
 
 
+def check_options(C: float, epochs: int, n: int = 1) -> None:
+    """C and epochs for a sweep over `n` rows; n = 1 leaves the checks any rows need."""
+    lam = 1.0 / (C * n) if 0 < C < np.inf and n else 0.0  # the sweep's lambda
+    if not 0 < lam < np.inf:
+        raise ValidationError("C must be finite and positive (C=%r, rows=%d)" % (C, n))
+    if epochs < 1:
+        raise ValidationError("epochs must be >= 1")
+    if epochs * n > MAX_STEPS:
+        raise ValidationError("epochs x rows = %d x %d exceeds %d steps" % (epochs, n, MAX_STEPS))
+
+
 def train_linear_svm(
     features,
     labels: Sequence[str],
@@ -70,8 +81,8 @@ def train_linear_svm(
 
     `class_labels` fixes the label order; by default labels are taken in
     order of first appearance. All binary problems share the same seeded
-    shuffle sequence. C must be finite and positive and epochs x rows at most
-    MAX_STEPS; both are checked before the order table is allocated.
+    shuffle sequence. `check_options` checks C and epochs for the rows before
+    the order table is allocated.
     """
     if _issparse(features):
         import scipy.sparse
@@ -95,13 +106,7 @@ def train_linear_svm(
     if unknown:
         raise ValidationError("labels %r missing from class set" % (sorted(unknown),))
     n, dim = X.shape
-    lam = 1.0 / (C * n) if 0 < C < np.inf and n else 0.0  # the sweep's lambda
-    if not 0 < lam < np.inf:
-        raise ValidationError("C=%r for %d rows: C must be finite and positive" % (C, n))
-    if epochs < 1:
-        raise ValidationError("epochs must be >= 1")
-    if epochs * n > MAX_STEPS:
-        raise ValidationError("epochs x rows = %d x %d exceeds %d steps" % (epochs, n, MAX_STEPS))
+    check_options(C, epochs, n)
 
     rng = np.random.default_rng(seed)
     order = np.empty((epochs, n), dtype=np.int64)

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dialectid.cli import main
+from dialectid.backend import TrainFlags
+from dialectid.cli import build_parser, main
 from dialectid.data import Domain, ScoreTable
 from dialectid.fileio import (load_ivector_set, load_labels, load_score_table,
                               save_ivector_set)
@@ -338,44 +341,23 @@ class TestRerunDeterminism:
         assert sorted(str(p) for p in runs[0]) == [
             "model/model.f64", "model/model.json", "tst.scores"]
         # loading and saving again rewrites both model files byte for byte
-        backend, flags, _ = Backend.load(tmp_path / "a" / "model")
-        backend.save(tmp_path / "resaved", flags)
+        backend, _ = Backend.load(tmp_path / "a" / "model")
+        backend.save(tmp_path / "resaved")
         assert files(tmp_path / "resaved") == files(tmp_path / "a" / "model")
 
 
 class TestBackendFitFlags:
-    @pytest.mark.parametrize("edit", [
-        lambda f: f.update(labels=f["labels"][::-1]),
-        lambda f: f.update(labels=f["labels"] + f["labels"][-1:]),
-        lambda f: f.update(dim=f["dim"] + 1),
-    ], ids=["unsorted-labels", "duplicate-label", "other-dim"])
-    def test_fit_refuses_flags_that_load_would_reject(self, edit):
-        from dialectid.backend import Backend
-        from dialectid.errors import ValidationError
-
-        ds = generate(SynthConfig(dim=8, n_trn=5, n_dev=4, n_tst=3, seed=1))
-        flags = {"recipe": "cds", "whiten_depth": 1, "gamma": None, "use_dev": False,
-                 "seed": 0, "dim": ds.trn.dim, "labels": sorted(ds.labels)}
-        edit(flags)
-        with pytest.raises(ValidationError):
-            Backend.fit(ds.trn, None, flags)
-
     @pytest.mark.parametrize("edit, message", [
         (dict(gamma=0.5), "--gamma requires --use-dev"),
         (dict(recipe="baseline_svm", gamma=0.5, use_dev=True), "--gamma does not apply"),
         (dict(whiten_depth=2), "--whiten-depth > 1 requires --use-dev"),
     ], ids=["gamma-without-dev", "gamma-with-svm", "depth-without-dev"])
     def test_fit_refuses_the_flag_combinations_train_refuses(self, edit, message):
-        from dialectid.backend import Backend
+        # a library caller cannot build the flags that `train` refuses
         from dialectid.errors import ValidationError
 
-        ds = generate(SynthConfig(dim=8, n_trn=5, n_dev=4, n_tst=3, seed=1))
-        flags = {"recipe": "cds", "whiten_depth": 1, "gamma": None, "use_dev": False,
-                 "seed": 0, "dim": ds.trn.dim, "labels": sorted(ds.labels),
-                 "svm_c": 0.01, "svm_epochs": 2}
-        flags.update(edit)
         with pytest.raises(ValidationError, match=message):
-            Backend.fit(ds.trn, ds.dev if flags["use_dev"] else None, flags)
+            TrainFlags(**{"recipe": "cds", **edit})
 
 
 def _edit_payload(edit):
@@ -525,6 +507,103 @@ class TestOutOfRangeFlagValues:
         assert run(*argv) == 2
         assert only_stderr_line(capsys).startswith("validation error:")
         assert not out.exists()
+
+
+# per TrainFlags field, values that no data set makes valid; the switch use_dev has none
+OUT_OF_RANGE = {
+    "recipe": st.sampled_from(["nope", "CDS", "lda", ""]),
+    "whiten_depth": st.integers(max_value=0) | st.integers(min_value=4),
+    "gamma": st.floats().filter(lambda g: not 0 <= g <= 1),
+    "seed": st.integers(max_value=-1),
+    # 5e-324 is positive, but 1/C overflows
+    "svm_c": st.floats().filter(lambda c: not 0 < c < math.inf) | st.just(5e-324),
+    "svm_epochs": st.integers(max_value=0) | st.integers(min_value=10**8 + 1),
+    "siam_out_dim": st.integers(max_value=0),
+    # 3334 epochs of the default 3000 pairs are above the 10^7 pair steps
+    "siam_epochs": st.integers(max_value=-1) | st.integers(min_value=3334),
+    "siam_pairs": st.integers(max_value=0) | st.integers(min_value=10**7 + 1),
+    "dev_emphasis": st.floats().filter(lambda e: not 0 <= e < math.inf),
+}
+
+
+def train_subparser():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["train"]
+
+
+class TestFlagsBeforeFiles:
+    """`train` builds its TrainFlags, and so checks every flag for every recipe,
+    before it opens a file."""
+
+    @pytest.fixture(scope="class")
+    def unreadable(self, tmp_path_factory):
+        """a data dir whose trn.ivec is a directory, so reading it is an OSError"""
+        data = tmp_path_factory.mktemp("unreadable")
+        (data / "trn.ivec").mkdir()
+        return data
+
+    def test_every_field_has_out_of_range_values(self):
+        fields = {f.name for f in dataclasses.fields(TrainFlags)}
+        assert set(OUT_OF_RANGE) == fields - {"use_dev"}
+
+    def test_valid_flags_reach_the_unreadable_trn(self, unreadable, tmp_path):
+        code, err = run_captured("train", "--recipe", "cds", "--data-dir", unreadable,
+                                 "--model-dir", tmp_path / "model")
+        assert (code, len(err)) == (4, 1) and err[0].startswith("i/o error:"), err
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_out_of_range_value_exits_2_before_trn_is_read(self, unreadable, data):
+        name = data.draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+        value = data.draw(OUT_OF_RANGE[name])
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp) / "model"
+            code, err = run_captured("train", "--recipe", "cds", "--use-dev",
+                                     "--data-dir", unreadable, "--model-dir", model,
+                                     "--%s=%s" % (name.replace("_", "-"), value))
+            assert (code, len(err)) == (2, 1) and err[0].startswith("validation error:"), err
+            assert not model.exists()
+
+    def test_train_options_are_the_flag_fields(self):
+        parser = train_subparser()
+        options = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        assert options == {"--data-dir", "--model-dir"} | {
+            "--" + f.name.replace("_", "-") for f in dataclasses.fields(TrainFlags)}
+        args = parser.parse_args(["--recipe", "cds", "--data-dir", "d", "--model-dir", "m"])
+        assert TrainFlags(**{f.name: getattr(args, f.name) for f in dataclasses.fields(
+            TrainFlags)}) == TrainFlags(recipe="cds")
+
+
+class TestSiameseMinimumDim:
+    @pytest.mark.parametrize("dim", [21, 22])
+    def test_default_stack_needs_dim_22(self, tmp_path, dim):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("dim=%d\nn_trn=6\nn_dev=3\nn_tst=2\nseed=1\n" % dim)
+        assert run("synth", "--config", cfg, "--out-dir", tmp_path / "data") == 0
+        code, err = run_captured("train", "--recipe", "siam_cds", "--siam-epochs", 1,
+                                 "--siam-pairs", 20, "--data-dir", tmp_path / "data",
+                                 "--model-dir", tmp_path / "model")
+        if dim == 21:
+            assert (code, err) == (2, ["validation error: input dim 21 too small for the "
+                                       "default stack, which needs at least 22"])
+        else:
+            assert (code, err) == (0, [])
+
+
+class TestFitAndLoadScoreAlike:
+    @pytest.mark.parametrize("recipe", sorted(RECIPE_FLAGS))
+    def test_bitwise_equal_at_500_rows(self, tmp_path, recipe):
+        from dialectid.backend import Backend
+
+        ds = generate(SynthConfig(dim=24, n_trn=20, n_dev=10, n_tst=100, seed=3))
+        flags = TrainFlags(recipe=recipe, use_dev=True, svm_epochs=20, siam_epochs=1,
+                           siam_pairs=200)
+        fitted = Backend.fit(ds.trn, ds.dev, flags)
+        fitted.save(tmp_path)
+        loaded, _ = Backend.load(tmp_path)
+        assert loaded.flags == flags and len(ds.tst) == 500
+        (labels, a), (loaded_labels, b) = (x.score(ds.tst.vectors) for x in (fitted, loaded))
+        assert labels == loaded_labels and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -774,6 +853,26 @@ class TestModelFileProperties:
         assume(edits)
         ref["shape"] = data.draw(st.sampled_from(edits))
         assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar))
+
+    @pytest.mark.parametrize("edit", [dict(seed=-1), dict(svm_c=-1.0), dict(recipe="nope"),
+                                      dict(whiten_depth=0), dict(siam_pairs=0)],
+                             ids=["seed", "svm-c", "recipe", "whiten-depth", "siam-pairs"])
+    def test_stored_flag_out_of_range_exits_4(self, trained, edit):
+        from dialectid.fileio import config_fingerprint
+
+        text, sidecar = model_files(trained, "cds")
+        blob = json.loads(text)
+        blob["payload"]["flags"].update(edit)
+        blob["fingerprint"] = config_fingerprint(blob["payload"]["flags"])
+        assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar),
+                      "ValidationError")
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_strict_json_flag_exits_4(self, trained, token):
+        text, sidecar = model_files(trained, "cds")
+        assert b'"svm_c":0.01' in text
+        text = text.replace(b'"svm_c":0.01', b'"svm_c":' + token.encode())
+        assert_exit_4(score_with_model(trained, text, sidecar), "%s is not strict JSON" % token)
 
     @pytest.mark.parametrize("recipe", sorted(RECIPE_FLAGS))
     def test_flags_dim_other_than_whitening_dim_exits_4(self, trained, recipe):

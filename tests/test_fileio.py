@@ -181,6 +181,22 @@ class TestArtifacts:
         with pytest.raises(FormatError, match="fingerprint"):
             Backend.load(tmp_path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scalar_refused_before_writing(self, tmp_path, value):
+        with pytest.raises(ValidationError, match="not JSON compliant"):
+            save_artifact(tmp_path / "a.json", "demo", "aaaa", {"v": [1.5, value]})
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValidationError, match="not JSON compliant"):
+            config_fingerprint({"svm_c": value})
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_strict_json_constant_refused_on_load(self, tmp_path, token):
+        path = tmp_path / "a.json"
+        save_artifact(path, "demo", "aaaa", {"v": 1.5})
+        path.write_text(path.read_text().replace("1.5", token))
+        with pytest.raises(FormatError, match="%s is not strict JSON" % token):
+            load_artifact(path, "demo")
+
     def test_kind_mismatch_rejected(self, tmp_path):
         path = tmp_path / "a.json"
         save_artifact(path, "demo", "aaaa", {"v": 1})

@@ -13,7 +13,7 @@ import pytest
 
 import dialectid
 from dialectid import dialect_model, lda, metrics, siamese, svm, synth, text_features, whitening
-from dialectid.backend import Backend
+from dialectid.backend import Backend, TrainFlags
 from dialectid.data import Domain, IVectorSet, ScoreTable, Utterance, _freeze
 
 
@@ -140,14 +140,11 @@ RECIPE_FLAGS = {
 @pytest.mark.parametrize("recipe", sorted(RECIPE_FLAGS))
 def test_backend_arrays_are_read_only_after_fit_and_load(recipe, tmp_path):
     ds = synth.generate(synth.SynthConfig(dim=24, n_trn=8, n_dev=4, n_tst=2, seed=1))
-    flags = {"recipe": recipe, "whiten_depth": 1, "gamma": None, "use_dev": True,
-             "seed": 0, "dim": ds.trn.dim, "labels": sorted(ds.labels),
-             "svm_c": 0.01, "svm_epochs": 3, "siam_out_dim": None,
-             "siam_epochs": 1, "siam_pairs": 40, "dev_emphasis": 0.0}
-    flags.update(RECIPE_FLAGS[recipe])
+    flags = TrainFlags(recipe=recipe, use_dev=True, svm_epochs=3, siam_epochs=1, siam_pairs=40,
+                       **RECIPE_FLAGS[recipe])
     fitted = Backend.fit(ds.trn, ds.dev, flags)
-    fitted.save(tmp_path, flags)
-    loaded, _, _ = Backend.load(tmp_path)
+    fitted.save(tmp_path)
+    loaded, _ = Backend.load(tmp_path)
     for backend in (fitted, loaded):
         arrays = _reachable_arrays(backend)
         assert len(arrays) >= 3
