@@ -13,7 +13,8 @@ rebuilds all else from them, as `fit` does.
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -40,6 +41,8 @@ class TrainFlags:
     """One field per `train` option (``whiten_depth`` is ``--whiten-depth``, a bool is a
     switch), with its type, default and help text. The checks that need no data run
     here, for every recipe; those that need it (epochs x rows, a dim) run where it is.
+    Each value must have its field's type: a bool only where it is the type, and a
+    float field also takes an int, which it stores as a float.
     """
 
     recipe: str = _flag("one of " + ", ".join(RECIPES))
@@ -56,6 +59,19 @@ class TrainFlags:
     dev_emphasis: float = _flag("extra pair-sampling weight of DEV rows, at least 0", 0.0)
 
     def __post_init__(self):
+        for name, (kind, optional) in flag_types().items():
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if (isinstance(value, bool) != (kind is bool)
+                    or not isinstance(value, (int, float) if kind is float else kind)):
+                raise ValidationError("%s must be %s%s, got %r" % (
+                    name, kind.__name__, " or None" if optional else "", value))
+            if kind is float:
+                try:
+                    object.__setattr__(self, name, float(value))
+                except OverflowError:
+                    raise ValidationError("%s=%d is too large for a float" % (name, value))
         if self.recipe not in RECIPES:
             raise ValidationError("unknown recipe %r (choose from %r)" % (self.recipe, RECIPES))
         if self.seed < 0:
@@ -81,6 +97,13 @@ class TrainFlags:
 
     def siamese_arch(self, dim: int) -> siamese.SiameseArch:
         return siamese.default_arch(input_dim=dim, output_dim=self.siam_out_dim or dim // 2)
+
+
+def flag_types() -> dict:
+    """Each `TrainFlags` field's name -> (its type, ``Optional[T]`` as T; whether None is allowed)."""
+    hints = typing.get_type_hints(TrainFlags)
+    return {f.name: ((typing.get_args(hints[f.name]) or (hints[f.name],))[0],
+                     type(None) in typing.get_args(hints[f.name])) for f in fields(TrainFlags)}
 
 
 def _checked_labels(labels) -> list:
@@ -154,8 +177,6 @@ class Backend:
                 dev_models = dialect_model.fit_dialect_means(
                     dev.with_vectors(_project(projection, dev.vectors)), labels)
                 scorer = dialect_model.interpolate_models(scorer, dev_models, gamma)
-        if isinstance(projection, lda.LdaProjection):  # C order, so it scores as loaded
-            projection = lda.LdaProjection(projection.mean, np.ascontiguousarray(projection.basis))
         return cls(flags, chain, projection, scorer)
 
     def score(self, vectors: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import calibration, dialect_model, fileio
-from .backend import Backend, TrainFlags
+from .backend import Backend, TrainFlags, flag_types
 from .data import Domain, ScoreTable
 from .errors import DialectIdError, FormatError, NumericError, ValidationError
 from .metrics import confusion, render_report
@@ -35,6 +34,17 @@ def _synth_config_from_file(path) -> SynthConfig:
         except ValueError:
             raise FormatError("config key %r has unparseable value %r" % (key, value))
     return SynthConfig(**kwargs)
+
+
+def _parsed_as(kind):
+    """An argparse type: a value `kind` cannot parse stays a str, which `TrainFlags`
+    refuses in one line, where argparse would print its usage."""
+    def parse(text):
+        try:
+            return kind(text)
+        except ValueError:
+            return text
+    return parse
 
 
 def cmd_synth(args) -> int:
@@ -151,11 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a recipe on trn.ivec (and dev.ivec)")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--model-dir", required=True)
-    types = typing.get_type_hints(TrainFlags)
-    for f in dataclasses.fields(TrainFlags):  # one option per field, ``Optional[T]`` as T
-        kind = (typing.get_args(types[f.name]) or (types[f.name],))[0]
+    kinds = flag_types()
+    for f in dataclasses.fields(TrainFlags):  # one option per field
+        kind = kinds[f.name][0]
         how = {"action": "store_true"} if kind is bool else {
-            "type": kind, "default": f.default, "required": f.default is dataclasses.MISSING}
+            "type": _parsed_as(kind), "default": f.default,
+            "required": f.default is dataclasses.MISSING}
         p.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"], **how)
     p.set_defaults(func=cmd_train)
 

@@ -1,9 +1,10 @@
-"""Shared data model: dialect labels, utterances, vector sets, score tables.
+"""Shared data model: dialect labels, utterances, vector sets, sparse rows, score tables.
 
 Every container is a frozen dataclass that takes each array through `_freeze`,
 so instances never alias a caller's array and can be shared across threads.
 An `IVectorSet` checks shapes only: the file readers in `fileio` refuse a
 repeated id or a non-finite value, naming its line, before a set is built.
+`CsrRows`, the sparse rows of the text features, checks its whole form.
 """
 from __future__ import annotations
 
@@ -101,6 +102,45 @@ class IVectorSet:
             raise ValidationError("cannot concatenate sets of dim %d and %d" % (self.dim, other.dim))
         return IVectorSet(self.utterances + other.utterances,
                           np.vstack([self.vectors, other.vectors]))
+
+
+@dataclass(frozen=True)
+class CsrRows:
+    """The rows of a sparse (n, dim) matrix in canonical CSR form.
+
+    Row i holds the values ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices`` over the same range, strictly increasing and below dim, so a
+    row with dim entries is full. len() is the row count.
+    """
+
+    data: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "data", _freeze(self.data))
+        object.__setattr__(self, "indices", _freeze(self.indices, np.int64))
+        object.__setattr__(self, "indptr", _freeze(self.indptr, np.int64))
+        object.__setattr__(self, "shape", tuple(self.shape))
+        if len(self.shape) != 2 or not all(type(x) is int and x >= 0 for x in self.shape):
+            raise ValidationError("CSR shape must be two non-negative ints, got %r" % (self.shape,))
+        (n, dim), nnz, indptr = self.shape, self.data.size, self.indptr
+        if self.data.ndim != 1 or self.indices.shape != (nnz,):
+            raise ValidationError("CSR data and indices must be aligned 1-D arrays")
+        if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != nnz
+                or np.any(np.diff(indptr) < 0)):
+            raise ValidationError("CSR indptr must rise from 0 to %d over %d rows" % (nnz, n))
+        if nnz and not 0 <= self.indices.min() <= self.indices.max() < dim:
+            raise ValidationError("CSR column index out of range for dim %d" % dim)
+        # in row-major order the cells rows * dim + columns rise strictly
+        if np.any(np.diff(np.repeat(np.arange(n), np.diff(indptr)) * dim + self.indices) <= 0):
+            raise ValidationError("CSR columns must strictly increase within each row")
+        if not np.all(np.isfinite(self.data)):
+            raise ValidationError("CSR values must be finite")
+
+    def __len__(self):
+        return self.shape[0]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 Solves the generalized eigenproblem S_b u = lambda (S_w + ridge*I) u with
 class-count-weighted scatter matrices and keeps the top directions, at most
-(number of classes - 1) of them. Eigenvector signs follow a fixed
-convention (largest-magnitude entry positive) so fits serialize
-reproducibly. `fit_lda` imports scipy.linalg when called, so only a run that
-fits LDA pays its import time.
+(number of classes - 1) of them. With M = (S_w + ridge*I)^(-1/2), the
+whitening stage's inverse square root, it is the symmetric problem
+(M S_b M) y = lambda y, and u = M y; so u^T (S_w + ridge*I) u = 1.
+Eigenvector signs follow a fixed convention (largest-magnitude entry
+positive) so fits serialize reproducibly.
 """
 from __future__ import annotations
 
@@ -14,10 +15,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import whitening
 from .data import IVectorSet, _freeze
-from .errors import NumericError, ValidationError
-
-DEFAULT_RIDGE_FACTOR = 1e-6
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ def fit_lda(data: IVectorSet, out_dim: Optional[int] = None,
 
     out_dim defaults to (classes - 1) and may not exceed it. Each class
     needs at least 2 samples so the within-class scatter is meaningful.
+    `ridge` is as for `whitening.inverse_sqrt`.
     """
     labels = [u.label for u in data.utterances]
     if any(lab is None for lab in labels):
@@ -75,19 +76,10 @@ def fit_lda(data: IVectorSet, out_dim: Optional[int] = None,
         s_b += idx.size * np.outer(diff, diff)
     s_w /= n
     s_b /= n
-    if ridge is None:
-        ridge = DEFAULT_RIDGE_FACTOR * float(np.trace(s_w)) / d
-    if ridge < 0:
-        raise ValidationError("ridge must be nonnegative")
-    s_w_reg = s_w + ridge * np.eye(d)
-    import scipy.linalg
-
-    try:
-        eigvals, eigvecs = scipy.linalg.eigh(s_b, s_w_reg)
-    except np.linalg.LinAlgError as err:  # the class scipy.linalg raises
-        raise NumericError("within-class scatter singular; increase the ridge") from err
+    M = whitening.inverse_sqrt(s_w, ridge)
+    eigvals, eigvecs = np.linalg.eigh(M @ s_b @ M)
     order = np.argsort(eigvals)[::-1][:out_dim]
-    basis = eigvecs[:, order]
+    basis = M @ eigvecs[:, order]
     # sign convention: largest-magnitude entry of each column positive
     for j in range(basis.shape[1]):
         k = int(np.argmax(np.abs(basis[:, j])))

@@ -3,22 +3,20 @@
 Per label, minimizes 0.5*||w||^2 + C * sum_i hinge(y_i (w.x_i + b)) with
 the classic 1/(lambda*t) step schedule (lambda = 1/(C*N)), visiting samples
 in seeded shuffled order; retraining with the same seed is bitwise
-reproducible. Features may be dense arrays or scipy sparse matrices; all K
-labels share the shuffle, so one CSR sweep (`_kernels.svm_epochs`) trains them.
-A dense array enters that sweep as full rows over its own buffer, not as a
-CSR copy. scipy.sparse is imported only for a sparse input, so dense callers
-never pay its import time.
+reproducible. Features are a numeric array or `data.CsrRows`; all K labels
+share the shuffle, so one CSR sweep (`_kernels.svm_epochs`) trains them.
+`CsrRows` enter that sweep as they are, and a dense array as full rows over
+its own buffer, not as a CSR copy.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .data import _freeze
+from .data import CsrRows, _freeze
 from .errors import ValidationError
 
 DEFAULT_C = 0.01
@@ -26,14 +24,15 @@ DEFAULT_EPOCHS = 100
 MAX_STEPS = 10**8  # epochs x rows cap; the order table takes 8 B a step (800 MB)
 
 
-def _issparse(x) -> bool:
-    """scipy.sparse.issparse(x), without importing scipy.sparse.
-
-    A sparse matrix cannot exist before scipy.sparse is loaded, so an input
-    seen while it is not loaded is dense.
-    """
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(x)
+def _rows(x):
+    """`x` if it is `CsrRows`, else `x` as a float64 array; any other input is refused."""
+    if isinstance(x, CsrRows):
+        return x
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ValidationError("features must be a numeric array or CsrRows, not %s"
+                              % type(x).__name__) from err
 
 
 @dataclass(frozen=True)
@@ -84,14 +83,11 @@ def train_linear_svm(
     shuffle sequence. `check_options` checks C and epochs for the rows before
     the order table is allocated.
     """
-    if _issparse(features):
-        import scipy.sparse
-
-        X = scipy.sparse.csr_matrix(features, dtype=np.float64, copy=True)
-        X.sum_duplicates()  # canonical CSR: the sweep takes nnz == dim as a full row
+    X = _rows(features)
+    if isinstance(X, CsrRows):  # canonical, so the sweep takes nnz == dim as a full row
         data, indices, indptr = X.data, X.indices, X.indptr
     else:  # every row is full, so the sweep never reads indices
-        X = np.atleast_2d(np.ascontiguousarray(features, dtype=np.float64))
+        X = np.atleast_2d(np.ascontiguousarray(X))
         if X.ndim != 2:
             raise ValidationError("features must be 1-D or 2-D, got %d-D" % X.ndim)
         data, indices = X.reshape(-1), np.empty(0, dtype=np.int32)
@@ -118,10 +114,19 @@ def train_linear_svm(
 
 
 def svm_decision(model: LinearSvmModel, x) -> np.ndarray:
-    """Per-label decision values w_k . x + b_k; (K,) for one vector, (n, K) for a batch."""
-    if not _issparse(x):  # CSR is scored as is, never densified
-        x = np.asarray(x, dtype=np.float64)
+    """Per-label decision values w_k . x + b_k; (K,) for one vector, (n, K) for a batch.
+
+    `CsrRows` are scored as they are, never densified.
+    """
+    x = _rows(x)
     if x.shape[-1] != model.dim:
         raise ValidationError("feature dim %d does not match model dim %d"
                               % (x.shape[-1], model.dim))
-    return x @ model.weights.T + model.biases
+    if not isinstance(x, CsrRows):
+        return x @ model.weights.T + model.biases
+    terms = np.take(model.weights, x.indices, axis=1)  # (K, nnz)
+    terms *= x.data
+    out = np.zeros((len(x), model.weights.shape[0]))
+    filled = np.flatnonzero(np.diff(x.indptr))  # reduceat gives an empty row a term, not 0
+    out[filled] = np.add.reduceat(terms, x.indptr[filled], axis=1).T
+    return out + model.biases

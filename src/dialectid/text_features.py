@@ -10,15 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import _freeze
+from .data import CsrRows, _freeze
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    from ._docmatrix import DocumentMatrix
 
 UNK_TOKEN = "<unk>"
 BOUNDARY_TOKEN = "<sp>"
@@ -208,18 +205,14 @@ def phone_duration_stats(seq: PhoneSequence, inventory: Sequence[str]) -> Featur
     return FeatureVector(indices=idx, values=dense[idx], dim=dense.size)
 
 
-def featurize_transcripts(
-    transcripts: Sequence[Transcript], vocab: NgramVocab
-) -> DocumentMatrix:
-    """Sparse (n_docs, V) CSR matrix of l2-normalized n-gram counts; rows follow input order.
+def featurize_transcripts(transcripts: Sequence[Transcript], vocab: NgramVocab) -> CsrRows:
+    """(n_docs, V) `CsrRows` of l2-normalized n-gram counts; rows follow input order.
 
     Each row is `vectorize` of the document's counts, so indices are sorted,
     unique and hold no zeros; an all-OOV document is an empty row.
     """
-    from ._docmatrix import DocumentMatrix
-
     rows = [vectorize(count_ngrams(t.tokens, vocab.n), vocab) for t in transcripts]
     indptr = np.cumsum([0] + [fv.indices.size for fv in rows], dtype=np.int64)
     indices = np.concatenate([np.empty(0, np.int64)] + [fv.indices for fv in rows])
     data = np.concatenate([np.empty(0)] + [fv.values for fv in rows])
-    return DocumentMatrix((data, indices, indptr), shape=(len(rows), len(vocab)))
+    return CsrRows(data, indices, indptr, (len(rows), len(vocab)))

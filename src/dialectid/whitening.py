@@ -56,11 +56,13 @@ class WhiteningChain:
         return len(self.stages)
 
 
-def _fit_array(X: np.ndarray, ridge: Optional[float]) -> WhiteningStage:
-    n, d = X.shape
-    mean = X.mean(axis=0)
-    centered = X - mean
-    cov = centered.T @ centered / n
+def inverse_sqrt(cov: np.ndarray, ridge: Optional[float] = None) -> np.ndarray:
+    """(cov + ridge*I)^(-1/2), the symmetric positive-definite inverse square root.
+
+    `ridge` None selects 1e-6 * trace(cov)/d and 0 adds none; a matrix that
+    is not positive definite after the ridge is a NumericError.
+    """
+    d = cov.shape[0]
     if ridge is None:
         ridge = DEFAULT_RIDGE_FACTOR * float(np.trace(cov)) / d
     if ridge < 0:
@@ -73,8 +75,14 @@ def _fit_array(X: np.ndarray, ridge: Optional[float]) -> WhiteningStage:
             "covariance not positive definite after ridge %g (min eigenvalue %g); "
             "increase the ridge" % (ridge, float(eigvals.min()))
         )
-    matrix = (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.T
-    return WhiteningStage(mean=mean, matrix=matrix)
+    return (eigvecs * (1.0 / np.sqrt(eigvals))) @ eigvecs.T
+
+
+def _fit_array(X: np.ndarray, ridge: Optional[float]) -> WhiteningStage:
+    n, _ = X.shape
+    mean = X.mean(axis=0)
+    centered = X - mean
+    return WhiteningStage(mean=mean, matrix=inverse_sqrt(centered.T @ centered / n, ridge))
 
 
 def fit_whitener(data: IVectorSet, ridge: Optional[float] = None) -> WhiteningStage:

@@ -22,3 +22,12 @@ def sample_cov(X):
     mu = X.mean(axis=0)
     diffs = X - mu
     return diffs.T @ diffs / X.shape[0]
+
+
+def to_dense(rows):
+    """The dense (n, dim) matrix of a `CsrRows`, written independently of the library."""
+    out = np.zeros(rows.shape)
+    for i in range(len(rows)):
+        lo, hi = rows.indptr[i], rows.indptr[i + 1]
+        out[i, rows.indices[lo:hi]] = rows.data[lo:hi]
+    return out

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dialectid.backend import TrainFlags
+from dialectid.backend import TrainFlags, flag_types
 from dialectid.cli import build_parser, main
 from dialectid.data import Domain, ScoreTable
 from dialectid.fileio import (load_ivector_set, load_labels, load_score_table,
@@ -360,6 +360,34 @@ class TestBackendFitFlags:
             TrainFlags(**{"recipe": "cds", **edit})
 
 
+class TestFlagTypes:
+    @pytest.mark.parametrize("name, value", [
+        ("seed", True), ("whiten_depth", True), ("svm_epochs", 2.5), ("use_dev", 1),
+        ("use_dev", None), ("recipe", None), ("svm_c", True), ("svm_c", "0.01"),
+        ("gamma", True), ("siam_out_dim", 2.0), ("siam_pairs", None),
+    ])
+    def test_value_of_another_type_is_refused(self, name, value):
+        from dialectid.errors import ValidationError
+
+        with pytest.raises(ValidationError, match="^%s must be " % name):
+            TrainFlags(**{"recipe": "cds", "use_dev": True, name: value})
+
+    def test_int_too_large_for_a_float_is_refused(self):
+        from dialectid.errors import ValidationError
+
+        with pytest.raises(ValidationError, match="svm_c=1000.* is too large for a float"):
+            TrainFlags(recipe="cds", svm_c=10**400)
+
+    def test_float_field_stores_an_int_as_a_float(self):
+        from dialectid.fileio import config_fingerprint
+
+        ints = TrainFlags(recipe="cds", use_dev=True, gamma=1, svm_c=1, dev_emphasis=0)
+        floats = TrainFlags(recipe="cds", use_dev=True, gamma=1.0, svm_c=1.0, dev_emphasis=0.0)
+        assert all(type(v) is float for v in (ints.gamma, ints.svm_c, ints.dev_emphasis))
+        assert (config_fingerprint(dataclasses.asdict(ints))
+                == config_fingerprint(dataclasses.asdict(floats)))
+
+
 def _edit_payload(edit):
     def mutate(blob):
         edit(blob["payload"])
@@ -563,6 +591,18 @@ class TestFlagsBeforeFiles:
                                      "--%s=%s" % (name.replace("_", "-"), value))
             assert (code, len(err)) == (2, 1) and err[0].startswith("validation error:"), err
             assert not model.exists()
+
+    @pytest.mark.parametrize("name, value", [
+        *[(n, "abc") for n, (kind, _) in sorted(flag_types().items()) if kind in (int, float)],
+        ("seed", "2.5"), ("whiten_depth", "")])
+    def test_unparseable_value_exits_2_naming_the_flag(self, unreadable, tmp_path, name, value):
+        code, err = run_captured("train", "--recipe", "cds", "--use-dev", "--data-dir",
+                                 unreadable, "--model-dir", tmp_path / "model",
+                                 "--" + name.replace("_", "-"), value)
+        assert (code, len(err)) == (2, 1), err
+        assert err[0].startswith("validation error: %s must be " % name), err
+        assert err[0].endswith("got %r" % value), err
+        assert not (tmp_path / "model").exists()
 
     def test_train_options_are_the_flag_fields(self):
         parser = train_subparser()
@@ -855,8 +895,12 @@ class TestModelFileProperties:
         assert_exit_4(score_with_model(trained, json.dumps(blob).encode(), sidecar))
 
     @pytest.mark.parametrize("edit", [dict(seed=-1), dict(svm_c=-1.0), dict(recipe="nope"),
-                                      dict(whiten_depth=0), dict(siam_pairs=0)],
-                             ids=["seed", "svm-c", "recipe", "whiten-depth", "siam-pairs"])
+                                      dict(whiten_depth=0), dict(siam_pairs=0), dict(use_dev=1),
+                                      dict(seed=True), dict(whiten_depth=True),
+                                      dict(svm_epochs=2.5)],
+                             ids=["seed", "svm-c", "recipe", "whiten-depth", "siam-pairs",
+                                  "use-dev-int", "seed-bool", "whiten-depth-bool",
+                                  "svm-epochs-float"])
     def test_stored_flag_out_of_range_exits_4(self, trained, edit):
         from dialectid.fileio import config_fingerprint
 

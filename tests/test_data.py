@@ -3,6 +3,7 @@ import pytest
 
 from dialectid.data import (
     DEFAULT_LABELS,
+    CsrRows,
     Domain,
     IVectorSet,
     ScoreTable,
@@ -59,3 +60,41 @@ class TestScoreTable:
     def test_duplicate_utt_rejected(self):
         with pytest.raises(ValidationError):
             ScoreTable("sys", ("A",), ("u1", "u1"), np.zeros((2, 1)))
+
+
+# four rows over two columns; row 2 is empty
+CSR = dict(data=[1.0, 2.0, -1.0, 0.5, 3.0], indices=[0, 1, 1, 0, 1], indptr=[0, 2, 3, 3, 5],
+           shape=(4, 2))
+
+
+class TestCsrRows:
+    def test_len_is_the_row_count(self):
+        rows = CsrRows(**CSR)
+        assert len(rows) == 4 and rows.shape == (4, 2)
+        assert len(CsrRows([], [], [0], (0, 3))) == 0
+        assert len(CsrRows([], [], [0, 0, 0], (2, 3))) == 2  # every row empty
+
+    @pytest.mark.parametrize("edit, match", [
+        # row 0 stores column 0 twice: 2 entries over dim 2, yet not a full row
+        (dict(indices=[0, 0, 1, 0, 1]), "strictly increase"),
+        (dict(indices=[1, 0, 1, 0, 1]), "strictly increase"),
+        (dict(indices=[0, 1, 1, 0, 2]), "out of range"),
+        (dict(indices=[0, 1, -1, 0, 1]), "out of range"),
+        (dict(indptr=[0, 2, 3, 5]), "indptr"),
+        (dict(indptr=[0, 3, 2, 3, 5]), "indptr"),
+        (dict(indptr=[1, 2, 3, 3, 5]), "indptr"),
+        (dict(indptr=[0, 2, 3, 3, 4]), "indptr"),
+        (dict(indices=[0, 1, 1, 0]), "aligned"),
+        (dict(data=[1.0, 2.0, np.nan, 0.5, 3.0]), "finite"),
+        (dict(data=[1.0, 2.0, -1.0, 0.5, np.inf]), "finite"),
+        (dict(shape=(4, 2, 1)), "shape"),
+        (dict(shape=(4, -2)), "shape"),
+        (dict(shape=(4.0, 2)), "shape"),
+    ], ids=["repeated-column", "columns-backwards", "column-above-dim", "column-negative",
+            "indptr-short", "indptr-falls", "indptr-not-from-0", "indptr-not-to-nnz",
+            "indices-not-aligned", "nan-value", "inf-value", "three-axes", "negative-dim",
+            "float-rows"])
+    def test_refuses_noncanonical_form(self, edit, match):
+        # the SVM sweep takes a row of dim entries as full, so only canonical CSR gets in
+        with pytest.raises(ValidationError, match=match):
+            CsrRows(**{**CSR, **edit})

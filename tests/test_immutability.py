@@ -14,7 +14,7 @@ import pytest
 import dialectid
 from dialectid import dialect_model, lda, metrics, siamese, svm, synth, text_features, whitening
 from dialectid.backend import Backend, TrainFlags
-from dialectid.data import Domain, IVectorSet, ScoreTable, Utterance, _freeze
+from dialectid.data import CsrRows, Domain, IVectorSet, ScoreTable, Utterance, _freeze
 
 
 def _holds_arrays(hint) -> bool:
@@ -56,6 +56,8 @@ def _synth_dataset():
 
 # one valid instance per container, built from fresh writable arrays at each call
 EXAMPLES = {
+    "data.CsrRows": lambda: CsrRows(np.array([0.6, 0.8, 1.0]), np.array([0, 2, 1]),
+                                    np.array([0, 2, 2, 3]), (3, 3)),
     "data.IVectorSet": lambda: IVectorSet(_utts(2), np.array([[1.0, 2.0], [3.0, 4.0]])),
     "data.ScoreTable": lambda: ScoreTable("s", ("A", "B"), ("u0", "u1"),
                                           np.array([[0.1, 0.2], [0.3, 0.4]])),

@@ -2,11 +2,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse
+import scipy.sparse  # a test-only oracle: it builds the CSR form of a dense matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialectid import svm
+from dialectid.data import CsrRows
 from dialectid.errors import ValidationError
 from dialectid.svm import DEFAULT_C, LinearSvmModel, svm_decision, train_linear_svm
+
+
+def csr(X):
+    """CsrRows of the nonzeros of a dense matrix (one row for a 1-D input)."""
+    m = scipy.sparse.csr_matrix(X)
+    return CsrRows(m.data, m.indices, m.indptr, m.shape)
 
 
 def toy_separable(n=20, gap=4.0, seed=0):
@@ -52,29 +61,15 @@ class TestTrainLinearSvm:
     def test_sparse_input_matches_dense(self):
         X, labels = toy_separable(seed=3)
         m_dense = train_linear_svm(X, labels, epochs=20, seed=0)
-        m_sparse = train_linear_svm(scipy.sparse.csr_matrix(X), labels, epochs=20, seed=0)
+        m_sparse = train_linear_svm(csr(X), labels, epochs=20, seed=0)
         np.testing.assert_allclose(m_dense.weights, m_sparse.weights, atol=1e-12)
-
-    def test_noncanonical_sparse_input_matches_dense(self):
-        # row 0 stores column 0 twice (1.0 + 2.0) and column 1 not at all, so it
-        # has nnz == dim without being full; row 2 lists its columns backwards
-        X = np.array([[3.0, 0.0], [1.0, -1.0], [0.5, 2.0], [-2.0, 1.0]])
-        csr = scipy.sparse.csr_matrix(
-            (np.array([1.0, 2.0, 1.0, -1.0, 2.0, 0.5, -2.0, 1.0]),
-             np.array([0, 0, 0, 1, 1, 0, 0, 1]), np.array([0, 2, 4, 6, 8])), shape=(4, 2))
-        labels = ["a", "b", "a", "b"]
-        m_sparse = train_linear_svm(csr, labels, epochs=7, seed=3)
-        m_dense = train_linear_svm(X, labels, epochs=7, seed=3)
-        np.testing.assert_allclose(m_sparse.weights, m_dense.weights, rtol=1e-12)
-        np.testing.assert_array_equal(m_sparse.biases, m_dense.biases)
-        assert csr.indices.tolist() == [0, 0, 0, 1, 1, 0, 0, 1]  # the input is not modified
 
     def test_dense_rows_with_zeros_match_csr_bitwise(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(30, 12)) * (rng.random((30, 12)) < 0.4)
         labels = [["a", "b", "c"][i % 3] for i in range(30)]
         m_dense = train_linear_svm(X, labels, epochs=9, seed=2)
-        m_sparse = train_linear_svm(scipy.sparse.csr_matrix(X), labels, epochs=9, seed=2)
+        m_sparse = train_linear_svm(csr(X), labels, epochs=9, seed=2)
         np.testing.assert_array_equal(m_dense.weights, m_sparse.weights)
         np.testing.assert_array_equal(m_dense.biases, m_sparse.biases)
 
@@ -93,8 +88,7 @@ class TestTrainLinearSvm:
     def test_one_dimensional_input_is_one_row(self):
         x = np.array([1.0, -2.0, 0.0])
         model = train_linear_svm(x, ["a"], epochs=3, class_labels=["a", "b"])
-        ref = train_linear_svm(scipy.sparse.csr_matrix(x), ["a"], epochs=3,
-                               class_labels=["a", "b"])
+        ref = train_linear_svm(csr(x), ["a"], epochs=3, class_labels=["a", "b"])
         assert model.weights.shape == (2, 3)
         np.testing.assert_array_equal(model.weights, ref.weights)
 
@@ -171,9 +165,28 @@ class TestSvmDecision:
         X = rng.normal(size=(30, 50)) * (rng.random((30, 50)) < 0.1)
         model = LinearSvmModel(labels=("A", "B", "C"), weights=rng.normal(size=(3, 50)),
                                biases=rng.normal(size=3))
-        got = svm_decision(model, scipy.sparse.csr_matrix(X))
+        got = svm_decision(model, csr(X))
         assert type(got) is np.ndarray and got.shape == (30, 3)
         np.testing.assert_allclose(got, svm_decision(model, X), rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_csr_decision_matches_dense(self, data):
+        # zero rows, all-empty matrices and empty (all-OOV) rows among full ones
+        n = data.draw(st.integers(0, 8), label="rows")
+        dim = data.draw(st.integers(1, 6), label="dim")
+        K = data.draw(st.integers(1, 4), label="labels")
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=n * dim, max_size=n * dim),
+                                  label="keep"), dtype=bool).reshape(n, dim)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        X = np.where(keep, rng.normal(size=(n, dim)), 0.0)
+        model = LinearSvmModel(labels=tuple("ABCD"[:K]), weights=rng.normal(size=(K, dim)),
+                               biases=rng.normal(size=K))
+        got = svm_decision(model, csr(X))
+        want = svm_decision(model, X)
+        assert got.shape == want.shape == (n, K)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got[~keep.any(axis=1)], want[~keep.any(axis=1)])
 
     def test_dim_mismatch(self):
         model = LinearSvmModel(labels=("A", "B"), weights=np.zeros((2, 3)),
@@ -193,19 +206,18 @@ class TestSvmDecision:
 
 
 def _input_forms(X):
-    """The same rows as every sparse type and dense form the SVM accepts."""
+    """The same rows in the sparse form and in every dense form the SVM accepts."""
     fortran = np.asfortranarray(X)
     fortran.setflags(write=False)
-    sparse = {"csr_matrix": scipy.sparse.csr_matrix(X), "csr_array": scipy.sparse.csr_array(X),
-              "coo_matrix": scipy.sparse.coo_matrix(X)}
+    sparse = {"csr_rows": csr(X)}
     dense = {"c_array": np.ascontiguousarray(X), "fortran_readonly": fortran,
              "nested_list": X.tolist()}
     return sparse, dense
 
 
 class TestInputTypes:
-    """Every sparse type must take the sparse branch and every dense form the
-    dense one; the sparse check only asks scipy.sparse once it is loaded."""
+    """`CsrRows` take the sparse branch and every dense form the dense one; any
+    other input, a scipy sparse matrix too, is a ValidationError."""
 
     def _rows(self):
         rng = np.random.default_rng(6)
@@ -233,5 +245,18 @@ class TestInputTypes:
                 np.testing.assert_array_equal(dec, first, err_msg=name)
         # a sparse product sums in another order than BLAS, so across groups
         # the decisions agree to rounding only
-        np.testing.assert_allclose(svm_decision(model, sparse["csr_array"]),
+        np.testing.assert_allclose(svm_decision(model, sparse["csr_rows"]),
                                    svm_decision(model, X), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("form", [scipy.sparse.csr_matrix, scipy.sparse.csr_array,
+                                      scipy.sparse.coo_matrix, lambda X: [[1.0, 2.0], [3.0]],
+                                      lambda X: "rows"],
+                             ids=["csr_matrix", "csr_array", "coo_matrix", "ragged", "str"])
+    def test_other_inputs_are_refused(self, form):
+        X, labels = self._rows()
+        model = train_linear_svm(X, labels, epochs=1)
+        rows = form(X)
+        with pytest.raises(ValidationError, match="numeric array or CsrRows"):
+            train_linear_svm(rows, labels, epochs=1)
+        with pytest.raises(ValidationError, match="numeric array or CsrRows"):
+            svm_decision(model, rows)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialectid.data import CsrRows
 from dialectid.errors import ValidationError
 from dialectid.svm import train_linear_svm
 from dialectid.text_features import (
@@ -21,6 +22,8 @@ from dialectid.text_features import (
     phone_duration_stats,
     vectorize,
 )
+
+from helpers import to_dense
 
 SP = BOUNDARY_TOKEN
 UNK = UNK_TOKEN
@@ -198,7 +201,7 @@ class TestFeaturizeTranscripts:
         M = featurize_transcripts(docs, vocab)
         counts = np.array([[1.0, 1.0], [0.0, 2.0]])
         np.testing.assert_array_equal(
-            M.toarray(), counts / np.linalg.norm(counts, axis=1, keepdims=True))
+            to_dense(M), counts / np.linalg.norm(counts, axis=1, keepdims=True))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -217,14 +220,14 @@ class TestFeaturizeTranscripts:
         for i, d in enumerate(docs):
             oracle[i] = vectorize(count_ngrams(d.tokens, n), vocab).to_dense()
         assert len(M) == M.shape[0] == len(docs) and M.shape[1] == len(vocab)
-        np.testing.assert_array_equal(M.toarray(), oracle)
-        assert M.has_sorted_indices and M.has_canonical_format
+        np.testing.assert_array_equal(to_dense(M), oracle)
+        assert isinstance(M, CsrRows)  # so its columns are canonical: CsrRows checks them
         assert np.all(M.data != 0)
         assert M.indptr[-1] == M.indptr[-2]  # the all-OOV doc is an empty row
         assert featurize_transcripts([], vocab).shape == (0, len(vocab))
         labels = ["A" if i % 2 else "B" for i in range(len(docs))]
         m_sparse = train_linear_svm(M, labels, epochs=5, seed=n)
-        m_dense = train_linear_svm(M.toarray(), labels, epochs=5, seed=n)
+        m_dense = train_linear_svm(to_dense(M), labels, epochs=5, seed=n)
         np.testing.assert_array_equal(m_sparse.weights, m_dense.weights)
         np.testing.assert_array_equal(m_sparse.biases, m_dense.biases)
 
