@@ -25,14 +25,17 @@ MAX_STEPS = 10**8  # epochs x rows cap; the order table takes 8 B a step (800 MB
 
 
 def _rows(x):
-    """`x` if it is `CsrRows`, else `x` as a float64 array; any other input is refused."""
+    """`x` if it is `CsrRows`, else `x` as a 1-D or 2-D float64 array; other input is refused."""
     if isinstance(x, CsrRows):
         return x
     try:
-        return np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError) as err:
         raise ValidationError("features must be a numeric array or CsrRows, not %s"
                               % type(x).__name__) from err
+    if x.ndim not in (1, 2):
+        raise ValidationError("features must be 1-D or 2-D, got %d-D" % x.ndim)
+    return x
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,6 @@ def train_linear_svm(
         data, indices, indptr = X.data, X.indices, X.indptr
     else:  # every row is full, so the sweep never reads indices
         X = np.atleast_2d(np.ascontiguousarray(X))
-        if X.ndim != 2:
-            raise ValidationError("features must be 1-D or 2-D, got %d-D" % X.ndim)
         data, indices = X.reshape(-1), np.empty(0, dtype=np.int32)
         indptr = np.arange(X.shape[0] + 1, dtype=np.int64) * X.shape[1]
     labels = list(labels)

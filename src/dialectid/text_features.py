@@ -2,19 +2,20 @@
 
 Character mode replaces the recognizer's OOV marker with a single <unk>
 token, splits every other word into single characters, and marks word
-boundaries with <sp>. Phone sequences additionally yield per-phone
-duration statistics. Vocabularies are built from training text only and
-indexed lexicographically so featurization is deterministic.
+boundaries with <sp>. Transcripts become l2-normalized n-gram count rows
+of one `data.CsrRows`; phone sequences additionally yield a dense row of
+per-phone duration statistics. Vocabularies are built from training text
+only and indexed lexicographically so featurization is deterministic.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import CsrRows, _freeze
+from .data import CsrRows
 from .errors import ValidationError
 
 UNK_TOKEN = "<unk>"
@@ -64,32 +65,6 @@ class NgramVocab:
 
     def __len__(self):
         return len(self.index)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse (index, value) feature list over a declared vocabulary size."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", _freeze(self.indices, np.int64))
-        object.__setattr__(self, "values", _freeze(self.values))
-        if self.indices.shape != self.values.shape or self.indices.ndim != 1:
-            raise ValidationError("indices and values must be aligned 1-D arrays")
-        if self.indices.size and (np.any(np.diff(self.indices) <= 0)):
-            raise ValidationError("feature indices must be strictly increasing")
-        if self.indices.size and (self.indices[0] < 0 or self.indices[-1] >= self.dim):
-            raise ValidationError("feature index out of range for dim %d" % self.dim)
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("feature values must be finite")
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
 
 
 def _is_char_token(token: str) -> bool:
@@ -158,28 +133,12 @@ def build_vocab(
     return NgramVocab(n=n, mode=mode, index={g: i for i, g in enumerate(kept)})
 
 
-def vectorize(counts: Mapping, vocab: NgramVocab) -> FeatureVector:
-    """Map counts onto the vocab and l2-normalize; out-of-vocab n-grams drop silently.
-
-    An all-OOV input produces an empty vector rather than an error.
-    """
-    items = sorted(
-        (vocab.index[g], float(c)) for g, c in counts.items() if g in vocab.index and c
-    )
-    if not items:
-        return FeatureVector(indices=(), values=(), dim=len(vocab))
-    idx = np.array([i for i, _ in items], dtype=np.int64)
-    val = np.array([v for _, v in items])
-    val = val / np.linalg.norm(val)
-    return FeatureVector(indices=idx, values=val, dim=len(vocab))
-
-
-def phone_duration_stats(seq: PhoneSequence, inventory: Sequence[str]) -> FeatureVector:
+def phone_duration_stats(seq: PhoneSequence, inventory: Sequence[str]) -> np.ndarray:
     """Per-phone (total duration share, mean duration, occurrence rate).
 
-    The three statistics are concatenated per phone in inventory order, so
-    the vector has length 3 * len(inventory); duration shares sum to 1.
-    Phones outside the inventory are an error.
+    Returns a read-only dense row of the three statistics per phone in
+    inventory order (length 3 * len(inventory), zeros for absent phones);
+    duration shares sum to 1. Phones outside the inventory are an error.
     """
     if not seq.phones:
         raise ValidationError("phone sequence %s is empty" % seq.utt_id)
@@ -201,18 +160,29 @@ def phone_duration_stats(seq: PhoneSequence, inventory: Sequence[str]) -> Featur
         dense[base] = sum(ds) / total_dur
         dense[base + 1] = sum(ds) / len(ds)
         dense[base + 2] = len(ds) / n
-    idx = np.flatnonzero(dense)
-    return FeatureVector(indices=idx, values=dense[idx], dim=dense.size)
+    dense.flags.writeable = False
+    return dense
 
 
 def featurize_transcripts(transcripts: Sequence[Transcript], vocab: NgramVocab) -> CsrRows:
     """(n_docs, V) `CsrRows` of l2-normalized n-gram counts; rows follow input order.
 
-    Each row is `vectorize` of the document's counts, so indices are sorted,
-    unique and hold no zeros; an all-OOV document is an empty row.
+    Rows are built straight from the counts, checked once by `CsrRows`;
+    out-of-vocabulary n-grams drop, so an all-OOV document is an empty row.
+    Counts are integers, so a row's sum of squares is exact in any order
+    below 2**53, and each norm and quotient is bitwise `np.linalg.norm`'s.
     """
-    rows = [vectorize(count_ngrams(t.tokens, vocab.n), vocab) for t in transcripts]
-    indptr = np.cumsum([0] + [fv.indices.size for fv in rows], dtype=np.int64)
-    indices = np.concatenate([np.empty(0, np.int64)] + [fv.indices for fv in rows])
-    data = np.concatenate([np.empty(0)] + [fv.values for fv in rows])
-    return CsrRows(data, indices, indptr, (len(rows), len(vocab)))
+    index, sizes, columns, counts = vocab.index, [0], [], []  # indptr = cumsum(sizes)
+    for t in transcripts:
+        row = sorted((index[g], c) for g, c in count_ngrams(t.tokens, vocab.n).items()
+                     if g in index)
+        sizes.append(len(row))
+        columns.extend(j for j, _ in row)
+        counts.extend(c for _, c in row)
+    indptr = np.cumsum(sizes, dtype=np.int64)
+    data, indices = np.array(counts, dtype=np.float64), np.array(columns, dtype=np.int64)
+    del counts, columns  # CsrRows copies the arrays; the lists need not outlive them
+    lengths = np.diff(indptr)
+    filled = np.flatnonzero(lengths)  # reduceat gives an empty row a term, not 0
+    data /= np.repeat(np.sqrt(np.add.reduceat(data * data, indptr[filled])), lengths[filled])
+    return CsrRows(data, indices, indptr, (indptr.size - 1, len(vocab)))

@@ -301,8 +301,7 @@ class TestCriterion9FeaturizerOracles:
                 (inventory[rng.integers(0, 4)], float(rng.uniform(0.05, 1.5)))
                 for _ in range(rng.integers(1, 12))
             )
-            fv = phone_duration_stats(PhoneSequence("u", phones), inventory)
-            dense = fv.to_dense()
+            dense = phone_duration_stats(PhoneSequence("u", phones), inventory)
             total = sum(d for _, d in phones)
             for j, p in enumerate(inventory):
                 ds = [d for q, d in phones if q == p]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import dialectid
-from dialectid import dialect_model, lda, metrics, siamese, svm, synth, text_features, whitening
+from dialectid import dialect_model, lda, metrics, siamese, svm, synth, whitening
 from dialectid.backend import Backend, TrainFlags
 from dialectid.data import CsrRows, Domain, IVectorSet, ScoreTable, Utterance, _freeze
 
@@ -71,8 +71,6 @@ EXAMPLES = {
     "siamese.SiameseParams": _siamese_params,
     "metrics.ConfusionMatrix": lambda: metrics.ConfusionMatrix(("A", "B"),
                                                                np.array([[3, 1], [0, 2]])),
-    "text_features.FeatureVector": lambda: text_features.FeatureVector(
-        np.array([0, 2]), np.array([0.6, 0.8]), 3),
     "synth.SynthDataset": _synth_dataset,
 }
 

@@ -194,6 +194,14 @@ class TestSvmDecision:
         with pytest.raises(ValidationError):
             svm_decision(model, np.zeros(4))
 
+    @pytest.mark.parametrize("x", [None, 1.0, np.zeros((2, 2, 3))],
+                             ids=["none", "scalar", "three-d"])
+    def test_input_not_one_or_two_d_rejected(self, x):
+        model = LinearSvmModel(labels=("A", "B"), weights=np.zeros((2, 3)),
+                               biases=np.zeros(2))
+        with pytest.raises(ValidationError, match="1-D or 2-D"):
+            svm_decision(model, x)
+
     def test_scores_feed_classify_with_tie_rule(self):
         from dialectid.data import ScoreTable
         from dialectid.dialect_model import classify_rows

@@ -11,7 +11,6 @@ from dialectid.svm import train_linear_svm
 from dialectid.text_features import (
     BOUNDARY_TOKEN,
     UNK_TOKEN,
-    FeatureVector,
     NgramVocab,
     PhoneSequence,
     Transcript,
@@ -20,7 +19,6 @@ from dialectid.text_features import (
     featurize_transcripts,
     normalize_for_chars,
     phone_duration_stats,
-    vectorize,
 )
 
 from helpers import to_dense
@@ -131,45 +129,48 @@ class TestBuildVocab:
 
 
 class TestVectorize:
+    """Single documents through `featurize_transcripts`."""
+
     def _vocab(self):
         return NgramVocab(n=2, mode="char", index={("a", "b"): 0, ("b", "a"): 1})
 
     def test_oov_dropped_to_empty(self):
-        fv = vectorize({("z", "z"): 5}, self._vocab())
-        assert fv.indices.size == 0
+        M = featurize_transcripts([t(["z"] * 6)], self._vocab())
+        assert M.shape == (1, 2)
+        assert M.indptr.tolist() == [0, 0] and M.data.size == 0
 
     def test_l2_three_four_five(self):
-        fv = vectorize({("a", "b"): 3, ("b", "a"): 4}, self._vocab())
-        np.testing.assert_allclose(fv.values, [0.6, 0.8])
+        M = featurize_transcripts([t(list("babababa"))], self._vocab())  # ab x3, ba x4
+        assert M.indices.tolist() == [0, 1]
+        np.testing.assert_allclose(M.data, [0.6, 0.8])
 
     def test_l2_unit_norm_property(self):
         rng = np.random.default_rng(2)
         vocab = build_vocab([[str(i) for i in range(10)]], n=1)
-        for _ in range(25):
-            toks = [str(c) for c in rng.integers(0, 10, size=rng.integers(1, 20))]
-            fv = vectorize(count_ngrams(toks, 1), vocab)
-            if fv.indices.size:
-                assert np.linalg.norm(fv.values) == pytest.approx(1.0)
+        docs = [t([str(c) for c in rng.integers(0, 10, size=rng.integers(1, 20))])
+                for _ in range(25)]
+        M = featurize_transcripts(docs, vocab)
+        for lo, hi in zip(M.indptr[:-1], M.indptr[1:]):
+            if hi > lo:
+                assert np.linalg.norm(M.data[lo:hi]) == pytest.approx(1.0)
 
 
 class TestPhoneDurationStats:
     def test_single_phone(self):
-        fv = phone_duration_stats(PhoneSequence("u", (("p", 1.0),)), ["p"])
-        dense = fv.to_dense()
+        dense = phone_duration_stats(PhoneSequence("u", (("p", 1.0),)), ["p"])
         np.testing.assert_allclose(dense, [1.0, 1.0, 1.0])
 
     def test_two_equal_phones_split_shares(self):
-        fv = phone_duration_stats(
+        dense = phone_duration_stats(
             PhoneSequence("u", (("p", 0.5), ("q", 0.5))), ["p", "q"]
         )
-        dense = fv.to_dense()
         assert dense[0] == pytest.approx(0.5)  # share p
         assert dense[3] == pytest.approx(0.5)  # share q
 
     def test_hand_sequence(self):
         seq = PhoneSequence("u", (("a", 0.2), ("b", 0.3), ("a", 0.1), ("c", 0.4)))
-        fv = phone_duration_stats(seq, ["a", "b", "c"])
-        dense = fv.to_dense()
+        dense = phone_duration_stats(seq, ["a", "b", "c"])
+        assert dense.shape == (9,) and not dense.flags.writeable
         np.testing.assert_allclose(dense[0:3], [0.3, 0.15, 0.5])  # a
         np.testing.assert_allclose(dense[3:6], [0.3, 0.3, 0.25])  # b
         np.testing.assert_allclose(dense[6:9], [0.4, 0.4, 0.25])  # c
@@ -182,7 +183,7 @@ class TestPhoneDurationStats:
                 (inv[rng.integers(0, 6)], float(rng.uniform(0.05, 2.0)))
                 for _ in range(rng.integers(1, 15))
             )
-            dense = phone_duration_stats(PhoneSequence("u", phones), inv).to_dense()
+            dense = phone_duration_stats(PhoneSequence("u", phones), inv)
             assert abs(dense[0::3].sum() - 1.0) < 1e-12
 
     def test_nonpositive_duration_rejected(self):
@@ -209,7 +210,7 @@ class TestFeaturizeTranscripts:
         docs=st.lists(st.lists(st.sampled_from("abcdexy"), max_size=8), min_size=2, max_size=8),
         n=st.integers(1, 3),
     )
-    def test_matches_dense_rows_of_vectorize(self, train, docs, n):
+    def test_matches_dense_count_oracle(self, train, docs, n):
         # x and y never reach the vocabulary, so the appended doc is all OOV
         if not any(len(d) >= n for d in train):
             train = train + [["a"] * n]
@@ -218,7 +219,11 @@ class TestFeaturizeTranscripts:
         M = featurize_transcripts(docs, vocab)
         oracle = np.zeros((len(docs), len(vocab)))
         for i, d in enumerate(docs):
-            oracle[i] = vectorize(count_ngrams(d.tokens, n), vocab).to_dense()
+            for g, c in count_ngrams(d.tokens, n).items():
+                if g in vocab.index:
+                    oracle[i, vocab.index[g]] = c
+            if oracle[i].any():
+                oracle[i] /= np.linalg.norm(oracle[i])
         assert len(M) == M.shape[0] == len(docs) and M.shape[1] == len(vocab)
         np.testing.assert_array_equal(to_dense(M), oracle)
         assert isinstance(M, CsrRows)  # so its columns are canonical: CsrRows checks them
@@ -247,13 +252,3 @@ class TestFeaturizeTranscripts:
             tracemalloc.stop()
         assert M.shape == (1500, len(vocab))
         assert peak < 20e6, peak
-
-
-class TestFeatureVector:
-    def test_indices_must_increase(self):
-        with pytest.raises(ValidationError):
-            FeatureVector(indices=np.array([1, 1]), values=np.array([1.0, 2.0]), dim=3)
-
-    def test_index_range(self):
-        with pytest.raises(ValidationError):
-            FeatureVector(indices=np.array([5]), values=np.array([1.0]), dim=3)
