@@ -94,8 +94,13 @@ def cmd_score(args) -> int:
 def cmd_calibrate_fuse(args) -> int:
     truth = fileio.load_labels(args.labels)
     tables = [fileio.load_score_table(p) for p in args.scores]
-    calibrated = [calibration.apply_calibration(calibration.fit_calibration(t, truth), t)
-                  for t in tables]
+    fits = [calibration.fit_calibration(t, truth) for t in tables]
+    for params in fits:
+        if params.scale == calibration.MIN_SLOPE:
+            print("warning: the calibration slope fitted for system %r is not positive, so "
+                  "it is clamped to %g and the system's calibrated scores are all but constant"
+                  % (params.system_id, calibration.MIN_SLOPE), file=sys.stderr)
+    calibrated = [calibration.apply_calibration(p, t) for p, t in zip(fits, tables)]
 
     if args.fit_weights:
         weights = calibration.fit_fusion_weights(calibrated, truth,

@@ -3,15 +3,21 @@
 README "File formats" gives each format. Floats in the text formats are
 written with repr, and artifact arrays as raw float64, so values
 round-trip exactly and reruns write byte-identical files. The
-tab-separated formats share one reader: blank lines are skipped, and a row
-with the wrong field count is a FormatError ``path:line: expected ...``.
-Each file is checked once, by the reader that parses it: in a vector set,
-a score table and a labels file an id on two rows is a ValidationError
-``path:line: duplicate utterance id``, and in a vector set or a score
-table a value that parses to inf or nan is a ValidationError
-``path:line: non-finite value``. A vector set read as labels has its
-header, field count, ids and labels checked, but its values are neither
-counted nor parsed.
+tab-separated formats share one set of row rules: lines are split as
+`str.splitlines` splits them, blank lines are skipped, and a row with the
+wrong field count is a FormatError ``path:line: expected ...``. Score
+tables, labels and transcripts are read line by line by `_records`;
+vector-set rows are cut from the text in place by `_vector_rows`, which
+sends any line it does not take whole to `_records`. Each file is checked
+once, by the reader that parses it: in a vector set, a score table and a
+labels file an id on two rows is a ValidationError ``path:line: duplicate
+utterance id``, and in a vector set or a score table a value that parses
+to inf or nan is a ValidationError ``path:line: non-finite value``. A
+score table's numbers are parsed in one call after its row checks, so its
+unparseable or non-finite score is reported after any row with a wrong
+field count or a repeated id. A vector set read as labels has its header,
+field count, ids and labels checked, but its values are neither counted
+nor parsed.
 
 An artifact is a strict JSON file ``<stem>.json``, one object
 ``{"arrays", "format_version", "kind", "fingerprint", "payload"}``, plus a
@@ -48,11 +54,13 @@ UNLABELED = "-"
 
 
 def _read_text(path) -> str:
-    """The file's text; bytes that are not UTF-8 are a FormatError."""
+    """The file's text, with "\r\n" and "\r" read as "\n" as `Path.read_text`
+    reads them; bytes that are not UTF-8 are a FormatError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as err:
         raise FormatError("%s: not UTF-8 text (byte %d): %s" % (path, err.start, err.reason))
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def write_whole(path, content: Union[str, bytes]) -> None:
@@ -130,11 +138,10 @@ def _unique_ids(path, records):
         yield ln, fields
 
 
-def _finite_matrix(path, lns, rows, width: int) -> np.ndarray:
-    """The parsed `rows` (from lines `lns`) as one (n, width) matrix. A row
-    holding inf or nan is a ValidationError ``path:line: non-finite value``
-    that names the first such row; the check is one pass over the matrix."""
-    matrix = np.vstack(rows) if rows else np.empty((0, width))
+def _finite_matrix(path, lns, matrix: np.ndarray) -> np.ndarray:
+    """`matrix`, whose rows were parsed from lines `lns`. A row holding inf or
+    nan is a ValidationError ``path:line: non-finite value`` that names the
+    first such row; the check is one pass over the matrix."""
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
         raise ValidationError("%s:%d: non-finite value" % (path, lns[np.argmin(finite)]))
@@ -154,24 +161,56 @@ def save_ivector_set(dataset: IVectorSet, path) -> None:
     _write_rows(path, ("dim=%d" % dataset.dim,), keys, dataset.vectors, " ")
 
 
-def _vector_rows(path, lines):
-    """(d, rows) of a vector set file, checking its ``dim=<d>`` header; rows lazily
-    yields (line, [utt_id, label, values]) per row, and neither counts nor
-    parses the values."""
-    if not lines or not lines[0].startswith("dim="):
+# the `str.splitlines` breaks other than "\n", "\r" and "\r\n" (`_read_text` maps those to "\n")
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _vector_rows(path, text: str, values: bool):
+    """(d, rows) of a vector set's text, checking its ``dim=<d>`` header; rows
+    lazily yields (line, (utt_id, label[, values])) per row, the values only
+    when `values` is true, and neither counts nor parses them.
+
+    Each row's fields are cut from `text` in place, so a row's values are
+    copied once or not at all. A line with other than two tabs or with a blank
+    id goes through `_records` on its own, which skips it or refuses it as the
+    other formats do; lines are numbered as `str.splitlines` numbers them.
+    """
+    if any(c in text for c in _OTHER_BREAKS):  # the scan splits lines at "\n" alone
+        text = "".join(line + "\n" for line in text.splitlines())
+    end = text.find("\n")
+    end = len(text) if end < 0 else end
+    head = text[:end]
+    if not head.startswith("dim="):
         raise FormatError("%s: first line must be dim=<d>" % path)
     try:
-        dim = int(lines[0][4:])
+        dim = int(head[4:])
     except ValueError:
-        raise FormatError("%s: bad dim header %r" % (path, lines[0]))
+        raise FormatError("%s: bad dim header %r" % (path, head))
     if dim < 1:
         raise FormatError("%s: dim must be positive, got %d" % (path, dim))
-    return dim, _records(path, lines[1:], 3, "utt_id<TAB>label<TAB>values", first_line=2)
+
+    def rows():
+        find, size, ln, start = text.find, len(text), 1, end + 1
+        while start < size:
+            ln += 1
+            stop = find("\n", start)
+            stop = size if stop < 0 else stop
+            tab1 = find("\t", start, stop)
+            tab2 = find("\t", tab1 + 1, stop) if tab1 >= 0 else -1
+            if tab2 < 0 or find("\t", tab2 + 1, stop) >= 0 or not text[start:tab1].strip():
+                yield from _records(path, (text[start:stop],), 3, "utt_id<TAB>label<TAB>values",
+                                    first_line=ln)
+            elif values:
+                yield ln, (text[start:tab1], text[tab1 + 1:tab2], text[tab2 + 1:stop])
+            else:
+                yield ln, (text[start:tab1], text[tab1 + 1:tab2])
+            start = stop + 1
+    return dim, rows()
 
 
 def load_ivector_set(path, domain: Domain = Domain.TST) -> IVectorSet:
     """Read a vector set file; the split is implied by the file, not stored in it."""
-    dim, entries = _vector_rows(path, _read_text(path).splitlines())
+    dim, entries = _vector_rows(path, _read_text(path), values=True)
     utts, lns, rows = [], [], []
     for ln, (utt_id, label, values) in _unique_ids(path, entries):
         tokens = values.split()
@@ -181,7 +220,8 @@ def load_ivector_set(path, domain: Domain = Domain.TST) -> IVectorSet:
         lns.append(ln)
         utts.append(Utterance(id=utt_id, domain=domain,
                               label=None if label == UNLABELED else label))
-    return IVectorSet(tuple(utts), _finite_matrix(path, lns, rows, dim))
+    return IVectorSet(tuple(utts), _finite_matrix(
+        path, lns, np.vstack(rows) if rows else np.empty((0, dim))))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +234,9 @@ def save_score_table(table: ScoreTable, path) -> None:
 
 
 def load_score_table(path) -> ScoreTable:
+    """Read a score table. Its numbers are parsed in one call after every row's
+    field count and id are checked, so an unparseable or non-finite score is
+    reported after those row checks."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise FormatError("%s: empty score file" % path)
@@ -201,14 +244,21 @@ def load_score_table(path) -> ScoreTable:
     if len(head) < 2:
         raise FormatError("%s: header must be system_id<TAB>labels..." % path)
     system_id, labels = head[0], tuple(head[1:])
-    utt_ids, lns, rows = [], [], []
-    for ln, fields in _unique_ids(path, _records(path, lines[1:], 1 + len(labels),
-                                                 "%d scores" % len(labels), first_line=2)):
+    k = len(labels)
+    utt_ids, lns, flat = [], [], []
+    for ln, fields in _unique_ids(path, _records(path, lines[1:], 1 + k, "%d scores" % k,
+                                                 first_line=2)):
         utt_ids.append(fields[0])
         lns.append(ln)
-        rows.append(_parse_row(path, ln, fields[1:]))
+        flat += fields[1:]
+    try:
+        scores = np.fromiter(map(float, flat), np.float64, len(flat)).reshape(-1, k)
+    except ValueError:
+        for i, ln in enumerate(lns):  # name the first row that holds the bad number
+            _parse_row(path, ln, flat[i * k:(i + 1) * k])
+        raise
     return ScoreTable(system_id=system_id, labels=labels, utt_ids=tuple(utt_ids),
-                      scores=_finite_matrix(path, lns, rows, len(labels)))
+                      scores=_finite_matrix(path, lns, scores))
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +297,10 @@ def load_labels(path) -> dict[str, str]:
     A vector set's unlabeled rows are skipped. An utterance id on two rows
     is a ValidationError that names the id and the second row's line.
     """
-    lines = _read_text(path).splitlines()
-    vector_set = bool(lines) and lines[0].startswith("dim=")
-    rows = (_vector_rows(path, lines)[1] if vector_set
-            else _records(path, lines, 2, "utt_id<TAB>label"))
+    text = _read_text(path)
+    vector_set = text.startswith("dim=")
+    rows = (_vector_rows(path, text, values=False)[1] if vector_set
+            else _records(path, text.splitlines(), 2, "utt_id<TAB>label"))
     out = {utt: label for _, (utt, label, *_) in _unique_ids(path, rows)}
     if vector_set:
         out = {utt: label for utt, label in out.items() if label != UNLABELED}

@@ -17,10 +17,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dialectid.backend import TrainFlags, flag_types
+from dialectid.calibration import apply_calibration, fit_calibration, fit_fusion_weights, fuse
 from dialectid.cli import build_parser, main
 from dialectid.data import Domain, ScoreTable
 from dialectid.fileio import (load_ivector_set, load_labels, load_score_table,
-                              save_ivector_set)
+                              save_ivector_set, save_score_table)
 from dialectid.synth import SynthConfig, generate
 
 
@@ -312,6 +313,55 @@ class TestCalibrateFuseAndEvaluate:
         scores = tmp_path / "s.scores"
         scores.write_text("sys\tA\tB\nu1\t1.0\t0.0\nu2\t0.0\t1.0\n")
         assert run("evaluate", "--scores", scores, "--labels", labels) == 2
+
+
+class TestScoreTableFaults:
+    """A score table's numbers are parsed after its row checks: a lone bad number
+    is reported on its line, and a later repeated id is reported before it."""
+
+    @pytest.mark.parametrize("rows, code, error", [
+        (["u1\t0.5\t0.5", "u2\t0.5\tx", "u3\t1.0\t0.0"], 4,
+         "i/o error: {path}:3: unparseable number"),
+        (["u1\t0.5\t0.5", "u2\t0.5\tx", "u3\t1.0\t0.0", "u1\t0.0\t1.0"], 2,
+         "validation error: {path}:5: duplicate utterance id 'u1'"),
+    ], ids=["unparseable", "unparseable-then-repeated-id"])
+    def test_evaluate_exits_with_one_line(self, tmp_path, rows, code, error):
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("u1\tA\nu2\tB\nu3\tA\n")
+        scores = tmp_path / "s.scores"
+        scores.write_text("sys\tA\tB\n" + "".join(row + "\n" for row in rows))
+        assert run_captured("evaluate", "--scores", scores, "--labels", labels) == (
+            code, [error.format(path=scores)])
+
+
+class TestCalibrationClamp:
+    def test_clamped_slope_is_reported_and_changes_no_output(self, tmp_path):
+        # "anti" scores against the labels, so its least-squares slope is negative
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("u000\tA\nu001\tB\n")
+        paths = []
+        for system_id, rows in (("anti", [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]]),
+                                ("good", [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])):
+            paths.append(tmp_path / (system_id + ".scores"))
+            save_score_table(ScoreTable(system_id, ("A", "B", "C"), ("u000", "u001"),
+                                        np.array(rows)), paths[-1])
+        out = tmp_path / "fused"
+        code, err = run_captured("calibrate-fuse", "--scores", *paths, "--labels", labels,
+                                 "--fit-weights", "--out-dir", out)
+        assert code == 0
+        assert len(err) == 1 and err[0].startswith("warning: ") and "'anti'" in err[0], err
+        assert "'good'" not in err[0] and "1e-12" in err[0]
+        # the outputs are those of the library calls the command makes
+        truth = load_labels(labels)
+        tables = [load_score_table(p) for p in paths]
+        calibrated = [apply_calibration(fit_calibration(t, truth), t) for t in tables]
+        fused = fuse(calibrated, fit_fusion_weights(calibrated, truth))
+        save_score_table(fused, tmp_path / "expected.scores")
+        assert (out / "fused.scores").read_bytes() == (tmp_path / "expected.scores").read_bytes()
+        assert run_captured("evaluate", "--scores", out / "fused.scores", "--labels", labels,
+                            "--out", tmp_path / "report.txt") == (0, [])
+        assert (out / "report.txt").read_text() == (
+            (tmp_path / "report.txt").read_text() + "fitted_on=labels.tsv\n")
 
 
 def only_stderr_line(capsys):

@@ -303,7 +303,7 @@ def draw_matrix(data, n, d):
 
 
 class TestSharedRecordReader:
-    """Every tab-separated format round-trips exactly through the one reader."""
+    """Every tab-separated format round-trips exactly through its reader."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -395,6 +395,109 @@ class TestSharedRecordReader:
         path.write_text(text)
         with pytest.raises(FormatError, match="^%s:%d: expected " % (re.escape(str(path)), line)):
             loader(path)
+
+
+def splitlines_oracle(path, values: bool):
+    """A vector set's rows as `str.splitlines` lines and `str.split` fields:
+    [(utt_id, label[, row of floats])], or the reader's error."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[0].startswith("dim="):
+        raise FormatError("%s: first line must be dim=<d>" % path)
+    try:
+        dim = int(lines[0][4:])
+    except ValueError:
+        raise FormatError("%s: bad dim header %r" % (path, lines[0]))
+    if dim < 1:
+        raise FormatError("%s: dim must be positive, got %d" % (path, dim))
+    seen, rows = set(), []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise FormatError("%s:%d: expected utt_id<TAB>label<TAB>values" % (path, ln))
+        if fields[0] in seen:
+            raise ValidationError("%s:%d: duplicate utterance id %r" % (path, ln, fields[0]))
+        seen.add(fields[0])
+        if values:
+            tokens = fields[2].split()
+            if len(tokens) != dim:
+                raise FormatError("%s:%d: expected %d values, got %d"
+                                  % (path, ln, dim, len(tokens)))
+            try:
+                fields[2] = [float(t) for t in tokens]
+            except ValueError:
+                raise FormatError("%s:%d: unparseable number" % (path, ln))
+        rows.append(tuple(fields if values else fields[:2]))
+    return rows
+
+
+def outcome(read, path):
+    try:
+        return "ok", read(path)
+    except (FormatError, ValidationError) as err:
+        return type(err).__name__, str(err)
+
+
+def oracle_labels(path):
+    labels = {utt: label for utt, label in splitlines_oracle(path, False) if label != "-"}
+    if not labels:
+        raise FormatError("%s: no labels found" % path)
+    return labels
+
+
+def oracle_vector_set(path):
+    rows = splitlines_oracle(path, True)
+    return ([(utt, None if label == "-" else label) for utt, label, _ in rows],
+            np.array([v for *_, v in rows], dtype=np.float64).tobytes())
+
+
+def loaded_vector_set(path):
+    dataset = load_ivector_set(path)
+    return [(u.id, u.label) for u in dataset.utterances], dataset.vectors.tobytes()
+
+
+# few ids, so that rows repeat them; tokens that stay finite however a break splits them
+ROW_IDS = st.sampled_from(["u1", "u2", "u3", " u4", "u 5"])
+ROW_LABELS = st.sampled_from(["A", "B", "-", " "])
+ROW_TOKENS = st.sampled_from(["0.5", "-1.25", "3e2", "7"])
+
+
+@st.composite
+def vector_set_line(draw, dim):
+    kind = draw(st.sampled_from(["row", "row", "row", "blank", "fields", "blank-id", "break"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "\t\t", " \t \t ", "\t\t\t"]))
+    values = " ".join(draw(st.lists(ROW_TOKENS, min_size=dim, max_size=dim)))
+    fields = [draw(ROW_IDS), draw(ROW_LABELS), values]
+    if kind == "fields":  # two or four fields
+        fields = [fields[0], values] if draw(st.booleans()) else fields + [values]
+    elif kind == "blank-id":
+        fields[0] = draw(st.sampled_from(["", " ", "  "]))
+    elif kind == "break":  # a str.splitlines break inside the values field
+        i = draw(st.integers(0, len(values)))
+        fields[2] = values[:i] + draw(st.sampled_from(["\x0c", "\x1c", "\u2028"])) + values[i:]
+    return "\t".join(fields)
+
+
+class TestVectorRowScan:
+    """The vector-set scan cuts fields from the text in place; on any text its
+    rows, skips and errors are those of `str.splitlines` lines split at tabs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_readers_match_a_splitlines_oracle(self, data):
+        dim = data.draw(st.integers(1, 3))
+        head = data.draw(st.sampled_from(["dim=%d" % dim] * 6 + ["dim=0", "dim=x", "", "d"]))
+        lines = data.draw(st.lists(vector_set_line(dim), max_size=6))
+        newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        text = newline.join([head] + lines) + (newline if data.draw(st.booleans()) else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.ivec"
+            path.write_bytes(text.encode("utf-8"))
+            if head.startswith("dim="):  # otherwise load_labels reads two-column labels
+                assert outcome(load_labels, path) == outcome(oracle_labels, path)
+            assert outcome(loaded_vector_set, path) == outcome(oracle_vector_set, path)
 
 
 # spellings float() accepts that repr never writes: signs, digit separators, an
