@@ -95,8 +95,9 @@ class TrainFlags:
         return siamese.TrainConfig(epochs=self.siam_epochs, n_pairs=self.siam_pairs,
                                    dev_emphasis=self.dev_emphasis, seed=self.seed)
 
-    def siamese_arch(self, dim: int) -> siamese.SiameseArch:
-        return siamese.default_arch(input_dim=dim, output_dim=self.siam_out_dim or dim // 2)
+    def siamese_out_dim(self, dim: int) -> int:
+        """The twin network's embedding dim for `dim`-wide input."""
+        return self.siam_out_dim or dim // 2
 
 
 def flag_types() -> dict:
@@ -160,8 +161,8 @@ class Backend:
             projection = lda.fit_lda(pooled())
         elif flags.recipe == "siam_cds":
             projection, _ = siamese.train(
-                siamese.init_params(flags.siamese_arch(trn.dim), seed=flags.seed), pooled(),
-                flags.siamese_config())
+                siamese.init_params(trn.dim, flags.siamese_out_dim(trn.dim), flags.seed),
+                pooled(), flags.siamese_config())
 
         if flags.recipe == "baseline_svm":
             fit_set = pooled()
@@ -236,7 +237,10 @@ class Backend:
             if flags.recipe == "lda_cds":
                 projection = lda.LdaProjection(**payload["lda"])
             elif flags.recipe == "siam_cds":
-                projection = siamese.SiameseParams(flags.siamese_arch(dim), **payload["siamese"])
+                projection = siamese.SiameseParams(dim, **payload["siamese"])
+                if projection.output_dim != flags.siamese_out_dim(dim):
+                    raise FormatError("%s: embedding dim %d is not the flags' %d" % (
+                        path, projection.output_dim, flags.siamese_out_dim(dim)))
             if flags.recipe == "baseline_svm":
                 scorer = svm.LinearSvmModel(labels, **payload["svm"])
             else:

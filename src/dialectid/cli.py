@@ -92,6 +92,17 @@ def cmd_score(args) -> int:
 
 
 def cmd_calibrate_fuse(args) -> int:
+    # the flags are checked before a file is read
+    if args.fit_weights == (args.weights is not None):
+        raise ValidationError("give exactly one of --weights and --fit-weights")
+    if args.resolution is not None and not args.fit_weights:
+        raise ValidationError("--resolution applies only to --fit-weights")
+    if args.weights is not None:
+        try:
+            values = [float(x) for x in args.weights.split(",")]
+        except ValueError:
+            raise ValidationError("--weights must be comma-separated numbers, got %r"
+                                  % args.weights)
     truth = fileio.load_labels(args.labels)
     tables = [fileio.load_score_table(p) for p in args.scores]
     fits = [calibration.fit_calibration(t, truth) for t in tables]
@@ -103,16 +114,9 @@ def cmd_calibrate_fuse(args) -> int:
     calibrated = [calibration.apply_calibration(p, t) for p, t in zip(fits, tables)]
 
     if args.fit_weights:
-        weights = calibration.fit_fusion_weights(calibrated, truth,
-                                                 resolution=args.resolution)
+        weights = calibration.fit_fusion_weights(calibrated, truth, resolution=(
+            calibration.DEFAULT_RESOLUTION if args.resolution is None else args.resolution))
     else:
-        if args.weights is None:
-            raise ValidationError("provide --weights or --fit-weights")
-        try:
-            values = [float(x) for x in args.weights.split(",")]
-        except ValueError:
-            raise ValidationError("--weights must be comma-separated numbers, got %r"
-                                  % args.weights)
         if len(values) != len(tables):
             raise ValidationError("got %d weights for %d score files"
                                   % (len(values), len(tables)))
@@ -188,8 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None, help="comma-separated, aligned with --scores")
     p.add_argument("--fit-weights", action="store_true",
                    help="grid-search the weight simplex instead of --weights")
-    p.add_argument("--resolution", type=float, default=0.1, help="weight grid step; "
-                   "the grid may have at most %d points" % calibration.MAX_GRID_POINTS)
+    p.add_argument("--resolution", type=float, default=None,
+                   help="weight grid step of --fit-weights, %g when omitted; the grid may "
+                   "have at most %d points"
+                   % (calibration.DEFAULT_RESOLUTION, calibration.MAX_GRID_POINTS))
     p.set_defaults(func=cmd_calibrate_fuse)
 
     p = sub.add_parser("evaluate", help="evaluate a score table against labels")

@@ -1,17 +1,18 @@
 """Twin-network embedding trained with a contrastive cosine loss.
 
-Two copies of the same stack (shared weights) map a pair of vectors to a
-low-dimensional space; the loss is (y - cos(e1, e2))^2 with pair label
-y = +1 for same-dialect pairs and -1 otherwise. Backpropagation is
-implemented by hand. Both twins run as one stacked batch, so one forward
-and one backward pass give the shared parameter gradients. Pairs are row
-indices into the training set. The convolution kernels live in `_kernels`.
+Two copies of the paper's one stack (shared weights) map a pair of vectors
+to a low-dimensional space: two tanh conv layers (kernel 8, stride 2,
+channels 1 -> 4 -> 8), then a linear dense layer. The loss is
+(y - cos(e1, e2))^2 with pair label y = +1 for same-dialect pairs and -1
+otherwise. Backpropagation is implemented by hand. Both twins run as one
+stacked batch, so one forward and one backward pass give the shared
+parameter gradients. Pairs are row indices into the training set. The
+convolution kernels live in `_kernels`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 import numpy as np
 
@@ -23,215 +24,116 @@ ZERO_EMBEDDING_EPS = 1e-12
 # cap on n_pairs and on epochs x n_pairs: the pair tables take 24 B a pair and each
 # epoch's shuffle 8 B (320 MB at the cap), and a pair step costs about 0.25 ms at dim 400
 MAX_PAIR_STEPS = 10**7
-# the default stack's least input dim: 8 + 2 x (8 - 1), so its second conv has one output
+# the two conv layers' kernel and stride, and the channels into and out of them
+KERNEL = 8
+STRIDE = 2
+CHANNELS = (1, 4, 8)
+# the stack's least input dim: 8 + 2 x (8 - 1), so its second conv has one output
 DEFAULT_MIN_DIM = 22
 # rows per `forward_batch` block, so that its working memory does not grow with n
 FORWARD_ROWS = 256
 
 
-@dataclass(frozen=True)
-class Conv1d:
-    """1-D valid convolution layer over (channels, length) inputs."""
-
-    kernel: int
-    in_channels: int
-    out_channels: int
-    stride: int = 1
-    activation: Optional[str] = "tanh"
-
-
-@dataclass(frozen=True)
-class Dense:
-    """Fully connected layer; flattens whatever shape it receives."""
-
-    in_dim: int
-    out_dim: int
-    activation: Optional[str] = None
-
-
-Layer = Union[Conv1d, Dense]
-
-
-@dataclass(frozen=True)
-class SiameseArch:
-    """Layer stack descriptor with declared input and output widths."""
-
-    layers: tuple[Layer, ...]
-    input_dim: int = 400
-    output_dim: int = 200
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        self.shape_trace()  # raises on inconsistency
-
-    def shape_trace(self) -> list[tuple[int, int]]:
-        """Per-layer output (channels, length), validating the whole chain.
-
-        The final layer must be a Dense with no activation so the embedding
-        space stays linear at the output.
-        """
-        if not self.layers:
-            raise ValidationError("architecture needs at least one layer")
-        shape = (1, self.input_dim)  # channels, length
-        trace = []
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, Conv1d):
-                ch, length = shape
-                if layer.in_channels != ch:
-                    raise ValidationError(
-                        "layer %d expects %d channels, gets %d" % (i, layer.in_channels, ch)
-                    )
-                if layer.kernel < 1 or layer.stride < 1:
-                    raise ValidationError("layer %d has non-positive kernel/stride" % i)
-                t_out = (length - layer.kernel) // layer.stride + 1
-                if t_out < 1:
-                    raise ValidationError(
-                        "layer %d kernel %d does not fit input length %d"
-                        % (i, layer.kernel, length)
-                    )
-                shape = (layer.out_channels, t_out)
-            elif isinstance(layer, Dense):
-                flat = shape[0] * shape[1]
-                if layer.in_dim != flat:
-                    raise ValidationError(
-                        "layer %d expects in_dim %d, gets %d" % (i, layer.in_dim, flat)
-                    )
-                shape = (1, layer.out_dim)
-            else:
-                raise ValidationError("unsupported layer type %r" % (layer,))
-            if layer.activation not in (None, "tanh"):
-                raise ValidationError("unsupported activation %r" % (layer.activation,))
-            trace.append(shape)
-        last = self.layers[-1]
-        if not isinstance(last, Dense) or last.activation is not None:
-            raise ValidationError("final layer must be fully connected with no activation")
-        if shape[0] * shape[1] != self.output_dim:
-            raise ValidationError(
-                "declared output dim %d but stack produces %d"
-                % (self.output_dim, shape[0] * shape[1])
-            )
-        return trace
-
-
-def _param_shapes(layer: Layer) -> tuple[tuple[int, ...], tuple[int]]:
-    """(weight shape, bias shape); a weight's fan-in is the product of its trailing dims."""
-    if isinstance(layer, Conv1d):
-        return (layer.out_channels, layer.in_channels, layer.kernel), (layer.out_channels,)
-    return (layer.out_dim, layer.in_dim), (layer.out_dim,)
-
-
-def default_arch(input_dim: int = 400, output_dim: int = 200) -> SiameseArch:
-    """Two tanh conv layers (kernel 8, stride 2, channels 1->4->8) + linear dense.
-
-    The embedding may not be wider than the input.
-    """
+def _param_shapes(input_dim: int, output_dim: int) -> tuple:
+    """((weight shape, bias shape) of conv 1, conv 2 and the dense layer); a weight's
+    fan-in is the product of its trailing dims. The embedding may not be wider than
+    the input."""
     if input_dim < DEFAULT_MIN_DIM:
-        raise ValidationError("input dim %d too small for the default stack, which needs "
-                              "at least %d" % (input_dim, DEFAULT_MIN_DIM))
+        raise ValidationError("input dim %d too small for the twin-network stack, which "
+                              "needs at least %d" % (input_dim, DEFAULT_MIN_DIM))
     if not 1 <= output_dim <= input_dim:
         raise ValidationError("embedding dim must be in 1..%d (the input dim), got %d"
                               % (input_dim, output_dim))
-    t1 = (input_dim - 8) // 2 + 1
-    t2 = (t1 - 8) // 2 + 1
-    return SiameseArch(
-        layers=(
-            Conv1d(kernel=8, in_channels=1, out_channels=4, stride=2, activation="tanh"),
-            Conv1d(kernel=8, in_channels=4, out_channels=8, stride=2, activation="tanh"),
-            Dense(in_dim=8 * t2, out_dim=output_dim, activation=None),
-        ),
-        input_dim=input_dim,
-        output_dim=output_dim,
-    )
+    length = input_dim
+    for _ in range(2):
+        length = (length - KERNEL) // STRIDE + 1
+    c0, c1, c2 = CHANNELS
+    return (((c1, c0, KERNEL), (c1,)), ((c2, c1, KERNEL), (c2,)),
+            ((output_dim, c2 * length), (output_dim,)))
 
 
 @dataclass(frozen=True)
 class SiameseParams:
-    """Weights and biases for every layer, plus the arch."""
+    """Weights and biases of conv 1, conv 2 and the dense layer, for rows of
+    `input_dim`; the embedding dim is the dense bias's length."""
 
-    arch: SiameseArch
+    input_dim: int
     weights: tuple[np.ndarray, ...] = field(repr=False)
     biases: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
         for name in ("weights", "biases"):
             object.__setattr__(self, name, tuple(_freeze(a) for a in getattr(self, name)))
-        if len(self.weights) != len(self.arch.layers) or len(self.biases) != len(self.arch.layers):
-            raise ValidationError("parameter count does not match layer count")
-        for i, (layer, w, b) in enumerate(zip(self.arch.layers, self.weights, self.biases)):
-            if (w.shape, b.shape) != _param_shapes(layer):
+        if len(self.weights) != 3 or len(self.biases) != 3:
+            raise ValidationError("the stack has 3 layers, got %d weights and %d biases"
+                                  % (len(self.weights), len(self.biases)))
+        shapes = _param_shapes(self.input_dim, self.output_dim)
+        for i, (w, b, want) in enumerate(zip(self.weights, self.biases, shapes)):
+            if (w.shape, b.shape) != want:
                 raise ValidationError("layer %d parameter shape mismatch" % i)
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValidationError("layer %d has non-finite parameters" % i)
 
+    @property
+    def output_dim(self) -> int:
+        return self.biases[-1].size
+
     def replace_arrays(self, weights, biases) -> "SiameseParams":
-        return SiameseParams(arch=self.arch, weights=tuple(weights), biases=tuple(biases))
+        return SiameseParams(self.input_dim, tuple(weights), tuple(biases))
 
 
-def init_params(arch: SiameseArch, seed: int = 0) -> SiameseParams:
+def init_params(input_dim: int, output_dim: int, seed: int = 0) -> SiameseParams:
     """Fan-in scaled uniform init (+-sqrt(6/fan_in)), zero biases, seeded."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for layer in arch.layers:
-        shape, b_shape = _param_shapes(layer)
+    for shape, b_shape in _param_shapes(input_dim, output_dim):
         lim = np.sqrt(6.0 / math.prod(shape[1:]))
         weights.append(rng.uniform(-lim, lim, size=shape))
         biases.append(np.zeros(b_shape))
-    return SiameseParams(arch=arch, weights=tuple(weights), biases=tuple(biases))
+    return SiameseParams(input_dim, tuple(weights), tuple(biases))
+
+
+def _finite(z: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(z)):
+        raise NumericError("non-finite activations in forward pass (divergence)")
+    return z
 
 
 def _forward_batch(params: SiameseParams, X: np.ndarray):
-    """Run the stack on a (B, input_dim) batch; returns embeddings and caches.
-
-    Cache per layer: (input in layer shape, activated output) — what the
-    backward pass needs for weight gradients and tanh derivatives. Shapes
-    come from the layers, never from the batch, so B may be 0.
+    """Run conv, conv, dense on a (B, input_dim) batch; returns the embeddings and
+    what the backward pass needs: the input as one channel, both conv layers' tanh
+    outputs and the second one flattened. Shapes come from the weights, never from
+    the batch, so B may be 0.
     """
-    cur = np.ascontiguousarray(X, dtype=np.float64)
-    caches = []
-    for layer, w, b in zip(params.arch.layers, params.weights, params.biases):
-        if isinstance(layer, Conv1d):
-            x_in = cur if cur.ndim == 3 else cur[:, None, :]
-            z = _kernels.conv1d_forward(x_in, w, b, layer.stride)
-        else:
-            x_in = cur.reshape(cur.shape[0], layer.in_dim)
-            z = x_in @ w.T + b
-        if not np.all(np.isfinite(z)):
-            raise NumericError("non-finite activations in forward pass (divergence)")
-        cur = np.tanh(z) if layer.activation == "tanh" else z
-        caches.append((x_in, cur))
-    return cur, caches  # the last layer is Dense, so cur is (B, output_dim)
+    (w1, w2, w3), (b1, b2, b3) = params.weights, params.biases
+    x = np.ascontiguousarray(X, dtype=np.float64)[:, None, :]
+    a1 = np.tanh(_finite(_kernels.conv1d_forward(x, w1, b1, STRIDE)))
+    a2 = np.tanh(_finite(_kernels.conv1d_forward(a1, w2, b2, STRIDE)))
+    flat = a2.reshape(len(a2), w3.shape[1])
+    return _finite(flat @ w3.T + b3), (x, a1, a2, flat)
 
 
 def forward_batch(params: SiameseParams, X: np.ndarray) -> np.ndarray:
     """Embed a (n, input_dim) matrix row-wise, FORWARD_ROWS rows at a time; n may be 0."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.arch.input_dim:
-        raise ValidationError("expected (n, %d) input, got %r" % (params.arch.input_dim, X.shape))
-    out = np.empty((X.shape[0], params.arch.output_dim))
+    if X.ndim != 2 or X.shape[1] != params.input_dim:
+        raise ValidationError("expected (n, %d) input, got %r" % (params.input_dim, X.shape))
+    out = np.empty((X.shape[0], params.output_dim))
     for lo in range(0, X.shape[0], FORWARD_ROWS):
         out[lo:lo + FORWARD_ROWS] = _forward_batch(params, X[lo:lo + FORWARD_ROWS])[0]
     return out
 
 
 def _backward(params: SiameseParams, caches, d_embed):
-    """Push d_embed back through the stack; returns (grad_weights, grad_biases)."""
-    n_layers = len(params.arch.layers)
-    grads_w, grads_b = [None] * n_layers, [None] * n_layers
-    g = d_embed
-    for idx in range(n_layers - 1, -1, -1):
-        layer = params.arch.layers[idx]
-        x_in, a = caches[idx]
-        g = g.reshape(a.shape)
-        if layer.activation == "tanh":
-            g = g * (1.0 - a * a)
-        if isinstance(layer, Dense):
-            grads_w[idx] = g.T @ x_in
-            grads_b[idx] = g.sum(axis=0)
-            g = g @ params.weights[idx]
-        else:
-            g, grads_w[idx], grads_b[idx] = _kernels.conv1d_backward(
-                x_in, params.weights[idx], layer.stride, g)
-    return grads_w, grads_b
+    """Push d_embed back through dense, conv 2 and conv 1; returns (grad_weights,
+    grad_biases) in layer order."""
+    x, a1, a2, flat = caches
+    w1, w2, w3 = params.weights
+    gw3, gb3 = d_embed.T @ flat, d_embed.sum(axis=0)
+    g = (d_embed @ w3).reshape(a2.shape) * (1.0 - a2 * a2)
+    g, gw2, gb2 = _kernels.conv1d_backward(a1, w2, STRIDE, g)
+    _, gw1, gb1 = _kernels.conv1d_backward(x, w1, STRIDE, g * (1.0 - a1 * a1))
+    return [gw1, gw2, gw3], [gb1, gb2, gb3]
 
 
 def grad(params: SiameseParams, xa: np.ndarray, xb: np.ndarray, y: np.ndarray):
@@ -245,9 +147,9 @@ def grad(params: SiameseParams, xa: np.ndarray, xb: np.ndarray, y: np.ndarray):
     gradient is zero and the loss 0.0.
     """
     xa, xb, y = (np.asarray(v, dtype=np.float64) for v in (xa, xb, y))
-    if y.ndim != 1 or not xa.shape == xb.shape == (len(y), params.arch.input_dim):
+    if y.ndim != 1 or not xa.shape == xb.shape == (len(y), params.input_dim):
         raise ValidationError("pairs need (n, %d) xa and xb and (n,) y, got %r, %r and %r"
-                              % (params.arch.input_dim, xa.shape, xb.shape, y.shape))
+                              % (params.input_dim, xa.shape, xb.shape, y.shape))
     if y.size == 0:
         raise ValidationError("gradient needs a non-empty batch")
     if not np.all(np.abs(y) == 1.0):
@@ -374,8 +276,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.n_pairs < 1:
-            raise ValidationError("epochs, batch_size and n_pairs must be positive")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("n_pairs", 1)):
+            if getattr(self, name) < least:
+                raise ValidationError("%s must be at least %d, got %r"
+                                      % (name, least, getattr(self, name)))
         if not 0.0 <= self.learning_rate < np.inf:
             raise ValidationError("learning_rate must be finite and nonnegative, got %r"
                                   % (self.learning_rate,))

@@ -501,6 +501,9 @@ class TestFusionFlags:
         ("--fit-weights", "--resolution", "0"),
         ("--fit-weights", "--resolution", "-0.5"),
         ("--fit-weights", "--resolution", "1e-320"),
+        # alternatives given together, or a grid step with fixed weights
+        ("--weights", "0.5", "--fit-weights"),
+        ("--weights", "1", "--resolution", "0.3"),
     ])
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, flags):
         labels = tmp_path / "labels.tsv"
@@ -584,6 +587,19 @@ class TestOutOfRangeFlagValues:
         capsys.readouterr()
         assert run(*argv) == 2
         assert only_stderr_line(capsys).startswith("validation error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--siam-epochs", -1, "epochs must be at least 0, got -1"),
+        ("--siam-pairs", 0, "n_pairs must be at least 1, got 0"),
+    ], ids=["siam-epochs", "siam-pairs"])
+    def test_twin_network_count_names_its_field_and_bound(self, tiny_data, tmp_path, capsys,
+                                                           flag, value, message):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run("train", "--recipe", "siam_cds", flag, value, "--data-dir", tiny_data,
+                   "--model-dir", out) == 2
+        assert only_stderr_line(capsys) == "validation error: " + message
         assert not out.exists()
 
 
@@ -675,7 +691,7 @@ class TestSiameseMinimumDim:
                                  "--model-dir", tmp_path / "model")
         if dim == 21:
             assert (code, err) == (2, ["validation error: input dim 21 too small for the "
-                                       "default stack, which needs at least 22"])
+                                       "twin-network stack, which needs at least 22"])
         else:
             assert (code, err) == (0, [])
 
@@ -967,6 +983,22 @@ class TestModelFileProperties:
         assert b'"svm_c":0.01' in text
         text = text.replace(b'"svm_c":0.01', b'"svm_c":' + token.encode())
         assert_exit_4(score_with_model(trained, text, sidecar), "%s is not strict JSON" % token)
+
+    def test_embedding_dim_other_than_the_flags_exits_4(self, trained, tmp_path):
+        # the dense layer and the dialect models cut consistently to one dim less, with
+        # the sidecar and its sha256 rewritten: only the flags tell the arrays are wrong
+        from dialectid.fileio import load_artifact, save_artifact
+
+        payload, fingerprint = load_artifact(trained / "siam_cds" / "model.json", "model")
+        siam = payload["siamese"]
+        out_dim = siam["biases"][2].size - 1
+        for name in ("weights", "biases"):
+            siam[name][2] = siam[name][2][:out_dim]
+        models = payload["models"][:, :out_dim]
+        payload["models"] = models / np.linalg.norm(models, axis=1, keepdims=True)
+        save_artifact(tmp_path / "model.json", "model", fingerprint, payload)
+        text, sidecar = ((tmp_path / name).read_bytes() for name in ("model.json", "model.f64"))
+        assert_exit_4(score_with_model(trained, text, sidecar), "embedding dim %d" % out_dim)
 
     @pytest.mark.parametrize("recipe", sorted(RECIPE_FLAGS))
     def test_flags_dim_other_than_whitening_dim_exits_4(self, trained, recipe):

@@ -43,8 +43,8 @@ def _utts(n):
 
 
 def _siamese_params():
-    params = siamese.init_params(siamese.default_arch(24, 4), seed=0)
-    return siamese.SiameseParams(params.arch, [w.copy() for w in params.weights],
+    params = siamese.init_params(24, 4, seed=0)
+    return siamese.SiameseParams(params.input_dim, [w.copy() for w in params.weights],
                                  [b.copy() for b in params.biases])
 
 

@@ -9,12 +9,8 @@ from dialectid.data import Domain, IVectorSet, Utterance
 from dialectid.errors import NumericError, ValidationError
 from dialectid.siamese import (
     FORWARD_ROWS,
-    Conv1d,
-    Dense,
-    SiameseArch,
     TrainConfig,
     _forward_batch,
-    default_arch,
     forward_batch,
     grad,
     init_params,
@@ -26,67 +22,58 @@ from dialectid.synth import SynthConfig, generate
 from helpers import make_set
 
 
-def tiny_arch():
-    # small enough for finite differences over every coordinate
-    return SiameseArch(
-        layers=(
-            Conv1d(kernel=3, in_channels=1, out_channels=2, stride=2, activation="tanh"),
-            Dense(in_dim=2 * 5, out_dim=4, activation=None),
-        ),
-        input_dim=11,
-        output_dim=4,
-    )
+def tiny_params(seed):
+    # the least input dim: 336 parameters, few enough for finite differences on each
+    return init_params(22, 4, seed)
 
 
-def identity_params(d):
-    arch = SiameseArch(layers=(Dense(in_dim=d, out_dim=d, activation=None),),
-                       input_dim=d, output_dim=d)
-    return init_params(arch, seed=0).replace_arrays([np.eye(d)], [np.zeros(d)])
+def reference_embedding(params, x):
+    """The stack written out as loops: two tanh valid convs (stride 2), then dense."""
+    a = x[None, :]
+    for w, b in zip(params.weights[:2], params.biases[:2]):
+        cout, _, kernel = w.shape
+        t_out = (a.shape[1] - kernel) // 2 + 1
+        a = np.tanh([[b[o] + (w[o] * a[:, 2 * t:2 * t + kernel]).sum() for t in range(t_out)]
+                     for o in range(cout)])
+    return params.weights[2] @ a.reshape(-1) + params.biases[2]
+
+
+def squared_cosine_residual(params, xa, xb, y):
+    """(y - cos)^2 of the two rows' embeddings, from `forward_batch`."""
+    ea, eb = forward_batch(params, np.stack([xa, xb]))
+    return (y - cosine(ea, eb)) ** 2
 
 
 class TestArch:
     def test_default_shapes(self):
-        arch = default_arch()
-        assert arch.input_dim == 400 and arch.output_dim == 200
-        trace = arch.shape_trace()
-        assert trace[0] == (4, 197)
-        assert trace[1] == (8, 95)
-        assert trace[-1] == (1, 200)
+        p = init_params(400, 200)
+        assert (p.input_dim, p.output_dim) == (400, 200)
+        assert [w.shape for w in p.weights] == [(4, 1, 8), (8, 4, 8), (200, 8 * 95)]
+        assert [b.shape for b in p.biases] == [(4,), (8,), (200,)]
+        _, (_, a1, a2, _) = _forward_batch(p, np.zeros((3, 400)))
+        assert a1.shape == (3, 4, 197) and a2.shape == (3, 8, 95)
 
-    def test_dim_mismatch_rejected(self):
+    @pytest.mark.parametrize("dims", [(21, 4), (22, 0), (22, 23)],
+                             ids=["dim-21", "out-dim-0", "out-dim-above-dim"])
+    def test_dims_out_of_range_rejected(self, dims):
         with pytest.raises(ValidationError):
-            SiameseArch(
-                layers=(Dense(in_dim=9, out_dim=4, activation=None),),
-                input_dim=10, output_dim=4,
-            )
-
-    def test_final_layer_must_be_linear_dense(self):
-        with pytest.raises(ValidationError):
-            SiameseArch(
-                layers=(Dense(in_dim=10, out_dim=4, activation="tanh"),),
-                input_dim=10, output_dim=4,
-            )
-        with pytest.raises(ValidationError):
-            SiameseArch(
-                layers=(Conv1d(kernel=3, in_channels=1, out_channels=1),),
-                input_dim=10, output_dim=8,
-            )
+            init_params(*dims)
 
 
 class TestInitParams:
     def test_deterministic_per_seed(self):
-        a = init_params(tiny_arch(), seed=9)
-        b = init_params(tiny_arch(), seed=9)
+        a = tiny_params(9)
+        b = tiny_params(9)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
 
     def test_seed_changes_values(self):
-        a = init_params(tiny_arch(), seed=1)
-        b = init_params(tiny_arch(), seed=2)
+        a = tiny_params(1)
+        b = tiny_params(2)
         assert any(not np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
 
     def test_fan_in_bound_and_zero_biases(self):
-        p = init_params(default_arch(), seed=0)
+        p = init_params(400, 200)
         lim0 = np.sqrt(6.0 / (1 * 8))
         assert np.abs(p.weights[0]).max() <= lim0
         for b in p.biases:
@@ -95,42 +82,49 @@ class TestInitParams:
 
 class TestForward:
     def test_zero_params_give_zero_embedding(self):
-        arch = tiny_arch()
-        p = init_params(arch, seed=0)
+        p = tiny_params(0)
         p = p.replace_arrays([np.zeros_like(w) for w in p.weights],
                              [np.zeros_like(b) for b in p.biases])
-        out = forward_batch(p, np.arange(11.0)[None, :])
+        out = forward_batch(p, np.arange(22.0)[None, :])
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
-    def test_default_arch_output_length(self):
-        p = init_params(default_arch(), seed=0)
+    def test_default_stack_output_length(self):
+        p = init_params(400, 200)
         out = forward_batch(p, np.zeros((3, 400)))
         assert out.shape == (3, 200)
 
-    @pytest.mark.parametrize("arch", [default_arch(), tiny_arch()], ids=["default", "tiny"])
-    def test_empty_batch_gives_empty_embedding(self, arch):
-        p = init_params(arch, seed=0)
-        out = forward_batch(p, np.empty((0, arch.input_dim)))
-        assert out.shape == (0, arch.output_dim)
+    @pytest.mark.parametrize("dims", [(400, 200), (22, 4)], ids=["default", "tiny"])
+    def test_empty_batch_gives_empty_embedding(self, dims):
+        p = init_params(*dims)
+        out = forward_batch(p, np.empty((0, dims[0])))
+        assert out.shape == (0, dims[1])
 
     def test_identity_dense_layer(self):
-        v = np.array([1.0, -2.0, 0.5, 3.0, 0.0])
-        np.testing.assert_array_equal(forward_batch(identity_params(5), v[None, :]), v[None, :])
+        # with the identity as dense layer, the embedding is conv 2's flattened tanh
+        # output, here against the stack written out as loops
+        for dim in (22, 31):
+            rng = np.random.default_rng(dim)
+            p = init_params(dim, 8, seed=dim)
+            p = p.replace_arrays(p.weights[:2] + (np.eye(8, p.weights[2].shape[1]),),
+                                 [rng.normal(size=4), rng.normal(size=8), np.zeros(8)])
+            X = rng.normal(size=(3, dim))
+            for x, e in zip(X, forward_batch(p, X)):
+                np.testing.assert_allclose(e, reference_embedding(p, x), rtol=0, atol=1e-12)
 
     def test_dim_mismatch(self):
-        p = init_params(tiny_arch(), seed=0)
+        p = tiny_params(0)
         with pytest.raises(ValidationError):
-            forward_batch(p, np.zeros((1, 12)))
+            forward_batch(p, np.zeros((1, 23)))
         with pytest.raises(ValidationError):
-            forward_batch(p, np.zeros(11))
+            forward_batch(p, np.zeros(22))
 
     @settings(max_examples=30, deadline=None)
     @given(n1=st.integers(0, 5), n2=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
     def test_stacked_blocks_match_separate_blocks(self, n1, n2, seed):
         # the stacked twin batch in `grad` relies on rows not mixing
         rng = np.random.default_rng(seed)
-        p = init_params(tiny_arch(), seed=seed % 1000)
-        x1, x2 = rng.normal(size=(n1, 11)), rng.normal(size=(n2, 11))
+        p = tiny_params(seed % 1000)
+        x1, x2 = rng.normal(size=(n1, 22)), rng.normal(size=(n2, 22))
         both = forward_batch(p, np.concatenate([x1, x2]))
         np.testing.assert_allclose(both[:n1], forward_batch(p, x1), rtol=0, atol=1e-12)
         np.testing.assert_allclose(both[n1:], forward_batch(p, x2), rtol=0, atol=1e-12)
@@ -139,7 +133,7 @@ class TestForward:
     @given(n=st.sampled_from([0, 1, 255, 256, 257, 515]), seed=st.integers(0, 2**32 - 1))
     def test_blocked_rows_match_one_pass(self, n, seed):
         assert FORWARD_ROWS == 256  # the sizes straddle one and two block edges
-        p = init_params(default_arch(input_dim=40, output_dim=6), seed=seed % 1000)
+        p = init_params(40, 6, seed % 1000)
         X = np.random.default_rng(seed).normal(size=(n, 40))
         one_pass, _ = _forward_batch(p, X)
         np.testing.assert_allclose(forward_batch(p, X), one_pass, rtol=0, atol=1e-12)
@@ -147,7 +141,7 @@ class TestForward:
     def test_working_memory_does_not_grow_with_rows(self):
         # one pass over 2000 x 400 rows holds about 90 MB of column matrices
         # and layer caches; FORWARD_ROWS blocks hold about 10 MB at a time
-        p = init_params(default_arch(), seed=0)
+        p = init_params(400, 200)
         X = np.random.default_rng(0).normal(size=(2000, 400))
         tracemalloc.start()
         try:
@@ -165,18 +159,32 @@ def cosine(e1, e2):
 
 class TestPairDistanceLoss:
     def test_orthogonal(self):
-        loss = grad(identity_params(2), np.array([[1.0, 0.0]]), np.array([[0.0, 2.0]]),
-                    np.array([1]))[2]
+        # a dense layer that maps the pair's conv features to (1, 0, 0, 0) and
+        # (0, 2, 0, 0): orthogonal embeddings, so a positive pair loses 1
+        rng = np.random.default_rng(3)
+        p = tiny_params(3)
+        x = rng.normal(size=(2, 22))
+        _, (_, _, _, flat) = _forward_batch(p, x)
+        dense = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0], [0.0, 0.0]]) @ np.linalg.pinv(flat.T)
+        p = p.replace_arrays(p.weights[:2] + (dense,), p.biases)
+        ea, eb = forward_batch(p, x)
+        assert abs(cosine(ea, eb)) < 1e-12
+        loss = grad(p, x[:1], x[1:], np.array([1]))[2]
+        assert loss == pytest.approx(squared_cosine_residual(p, x[0], x[1], 1.0), abs=1e-15)
         assert loss == pytest.approx(1.0)
 
     def test_antipodal(self):
-        e = np.array([[0.3, -0.7]])
-        assert grad(identity_params(2), e, -e, np.array([-1]))[2] == pytest.approx(0.0)
+        # tanh is odd and the biases start at zero, so -x embeds to minus x's embedding
+        x = np.random.default_rng(4).normal(size=22)
+        p = tiny_params(4)
+        loss = grad(p, x[None, :], -x[None, :], np.array([-1]))[2]
+        assert loss == pytest.approx(squared_cosine_residual(p, x, -x, -1.0), abs=1e-15)
+        assert loss == pytest.approx(0.0, abs=1e-15)
 
     def test_twin_symmetry(self):
         rng = np.random.default_rng(0)
-        p = init_params(tiny_arch(), seed=0)
-        x = rng.normal(size=(2, 11))
+        p = tiny_params(0)
+        x = rng.normal(size=(2, 22))
         ea, eb = forward_batch(p, x)
         assert cosine(ea, eb) == cosine(eb, ea)
         # swapping the twins leaves the pair loss unchanged
@@ -185,9 +193,9 @@ class TestPairDistanceLoss:
 
     def test_loss_bounds(self):
         rng = np.random.default_rng(1)
-        p = init_params(tiny_arch(), seed=1)
+        p = tiny_params(1)
         for _ in range(50):
-            x = rng.normal(size=(2, 11))
+            x = rng.normal(size=(2, 22))
             for y in (1.0, -1.0):
                 assert 0.0 <= grad(p, x[:1], x[1:], np.array([y]))[2] <= 4.0
 
@@ -225,25 +233,27 @@ def fd_check(params, xa, xb, y, step=1e-5, rtol=1e-4, afloor=1e-7):
 
 class TestGrad:
     def test_zero_loss_gives_zero_gradient(self):
-        # identity map, identical pair with y=+1: cosine is exactly 1
-        v = np.array([[1.0, 2.0, 2.0]])
-        gw, gb, loss = grad(identity_params(3), v, v, np.array([1]))
-        assert loss == pytest.approx(0.0)
-        np.testing.assert_allclose(gw[0], 0.0, atol=1e-12)
-        np.testing.assert_allclose(gb[0], 0.0, atol=1e-12)
+        # an identical pair with y=+1: cosine 1, so no loss and no gradient
+        v = np.random.default_rng(7).normal(size=(1, 22))
+        p = tiny_params(7)
+        gw, gb, loss = grad(p, v, v, np.array([1]))
+        assert loss == pytest.approx(squared_cosine_residual(p, v[0], v[0], 1.0), abs=1e-15)
+        assert loss == pytest.approx(0.0, abs=1e-15)
+        for g in gw + gb:
+            np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        p = init_params(tiny_arch(), seed=5)
+        p = tiny_params(5)
         y = rng.choice([1, -1], size=3)
-        ab = rng.normal(size=(3, 2, 11))  # a then b for each pair, as drawn before
+        ab = rng.normal(size=(3, 2, 22))  # a then b for each pair, as drawn before
         worst, rtol = fd_check(p, ab[:, 0], ab[:, 1], y)
         assert worst < rtol, worst
 
     def test_duplicated_pair_equals_single(self):
         rng = np.random.default_rng(6)
-        p = init_params(tiny_arch(), seed=6)
-        a, b, y = rng.normal(size=(1, 11)), rng.normal(size=(1, 11)), np.array([1])
+        p = tiny_params(6)
+        a, b, y = rng.normal(size=(1, 22)), rng.normal(size=(1, 22)), np.array([1])
         gw1, gb1, l1 = grad(p, a, b, y)
         gw2, gb2, l2 = grad(p, np.repeat(a, 2, axis=0), np.repeat(b, 2, axis=0),
                             np.repeat(y, 2))
@@ -253,24 +263,24 @@ class TestGrad:
 
     def test_empty_batch_errors(self):
         with pytest.raises(ValidationError):
-            grad(init_params(tiny_arch(), seed=0), np.empty((0, 11)), np.empty((0, 11)),
+            grad(tiny_params(0), np.empty((0, 22)), np.empty((0, 22)),
                  np.empty(0))
 
     @pytest.mark.parametrize("bad", [0, 2])
     def test_label_not_plus_minus_one_errors(self, bad):
-        x = np.random.default_rng(0).normal(size=(2, 11))
+        x = np.random.default_rng(0).normal(size=(2, 22))
         with pytest.raises(ValidationError):
-            grad(init_params(tiny_arch(), seed=0), x, x[::-1], np.array([1, bad]))
+            grad(tiny_params(0), x, x[::-1], np.array([1, bad]))
 
     def test_misaligned_pairs_error(self):
-        p = init_params(tiny_arch(), seed=0)
-        x = np.random.default_rng(0).normal(size=(3, 11))
+        p = tiny_params(0)
+        x = np.random.default_rng(0).normal(size=(3, 22))
         with pytest.raises(ValidationError):
             grad(p, x, x[:2], np.array([1, -1, 1]))
         with pytest.raises(ValidationError):
             grad(p, x, x, np.array([1, -1]))
         with pytest.raises(ValidationError):
-            grad(p, x[:, :10], x[:, :10], np.array([1, -1, 1]))
+            grad(p, x[:, :21], x[:, :21], np.array([1, -1, 1]))
 
 
 def reference_sample_pairs(data, n_pairs, positive_fraction=0.5, seed=0, dev_emphasis=0.0):
@@ -392,8 +402,7 @@ class TestSamplePairs:
 class TestTrain:
     def test_zero_learning_rate_keeps_params(self):
         ds = generate(SynthConfig(dim=24, seed=0, n_trn=6, n_dev=2, n_tst=2))
-        arch = default_arch(24, 4)
-        p = init_params(arch, seed=0)
+        p = init_params(24, 4, seed=0)
         out, hist = train(p, ds.trn, TrainConfig(epochs=2, n_pairs=40, learning_rate=0.0, seed=0))
         for a, b in zip(p.weights, out.weights):
             np.testing.assert_array_equal(a, b)
@@ -401,8 +410,7 @@ class TestTrain:
 
     def test_single_step_equals_manual_update(self):
         ds = generate(SynthConfig(dim=24, seed=1, n_trn=4, n_dev=2, n_tst=2))
-        arch = default_arch(24, 4)
-        p = init_params(arch, seed=1)
+        p = init_params(24, 4, seed=1)
         cfg = TrainConfig(epochs=1, batch_size=8, n_pairs=8, learning_rate=0.05,
                           momentum=0.9, seed=4)
         out, hist = train(p, ds.trn, cfg)
@@ -419,8 +427,7 @@ class TestTrain:
         wins = 0
         for seed in range(5):
             ds = generate(SynthConfig(dim=24, seed=seed, n_trn=20, n_dev=5, n_tst=5))
-            arch = default_arch(24, 8)
-            p = init_params(arch, seed=seed)
+            p = init_params(24, 8, seed=seed)
             _, hist = train(p, ds.trn, TrainConfig(epochs=6, n_pairs=400, seed=seed))
             wins += hist[-1] < hist[0]
         assert wins == 5
@@ -429,11 +436,18 @@ class TestTrain:
         # one absurd step sends embedding dot products past float max, so the
         # next batch sees a nan cosine and training must abort with history
         ds = generate(SynthConfig(dim=24, seed=2, n_trn=6, n_dev=2, n_tst=2))
-        arch = default_arch(24, 4)
-        p = init_params(arch, seed=2)
+        p = init_params(24, 4, seed=2)
         with pytest.raises(NumericError) as exc:
             train(p, ds.trn, TrainConfig(epochs=2, n_pairs=128, learning_rate=1e200, seed=0))
         assert isinstance(exc.value.history, list)
+
+    @pytest.mark.parametrize("field, bad, least", [("epochs", -1, 0), ("batch_size", 0, 1),
+                                                    ("n_pairs", 0, 1)])
+    def test_counts_name_their_field_and_bound(self, field, bad, least):
+        with pytest.raises(ValidationError) as exc:
+            TrainConfig(**{field: bad})
+        assert str(exc.value) == "%s must be at least %d, got %d" % (field, least, bad)
+        TrainConfig(**{field: least})  # the bound itself is allowed
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -1e-3])
     def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
@@ -444,7 +458,7 @@ class TestTrain:
         # the largest finite step times a gradient entry above 1 overflows, so
         # the first step makes the parameters themselves non-finite
         ds = generate(SynthConfig(dim=24, seed=1, n_trn=6, n_dev=2, n_tst=2))
-        p = init_params(default_arch(24, 4), seed=1)
+        p = init_params(24, 4, seed=1)
         cfg = TrainConfig(epochs=2, n_pairs=128, learning_rate=np.finfo(np.float64).max, seed=0)
         with np.errstate(over="ignore"), pytest.raises(NumericError,
                                                         match="non-finite parameters") as exc:
@@ -455,7 +469,7 @@ class TestTrain:
         # one batch: the step that overflows is the last one, after which no
         # further batch would see the non-finite parameters
         ds = generate(SynthConfig(dim=24, seed=1, n_trn=6, n_dev=2, n_tst=2))
-        p = init_params(default_arch(24, 4), seed=1)
+        p = init_params(24, 4, seed=1)
         cfg = TrainConfig(epochs=1, n_pairs=64, learning_rate=np.finfo(np.float64).max, seed=0)
         assert cfg.batch_size >= cfg.n_pairs
         with np.errstate(over="ignore"), pytest.raises(NumericError,
