@@ -85,11 +85,16 @@ class TrainFlags:
                 raise ValidationError("--gamma requires --use-dev (no in-domain means otherwise)")
             if self.recipe == "baseline_svm":
                 raise ValidationError("--gamma does not apply to the SVM recipe")
-            dialect_model.check_gamma(self.gamma)
-        svm.check_options(self.svm_c, self.svm_epochs)
+            _check_flag("--gamma", dialect_model.check_gamma, self.gamma)
+        _check_flag("--svm-c", svm.check_options, self.svm_c, 1)
+        _check_flag("--svm-epochs", svm.check_options, svm.DEFAULT_C, self.svm_epochs)
         if self.siam_out_dim is not None and self.siam_out_dim < 1:
             raise ValidationError("siam_out_dim must be at least 1, got %d" % self.siam_out_dim)
-        self.siamese_config()  # TrainConfig checks the twin-network fields
+        # TrainConfig checks the twin-network fields, each alone and then together
+        _check_flag("--siam-epochs", siamese.TrainConfig, epochs=self.siam_epochs, n_pairs=1)
+        _check_flag("--siam-pairs", siamese.TrainConfig, epochs=0, n_pairs=self.siam_pairs)
+        _check_flag("--dev-emphasis", siamese.TrainConfig, dev_emphasis=self.dev_emphasis)
+        _check_flag("--siam-epochs x --siam-pairs", self.siamese_config)
 
     def siamese_config(self) -> siamese.TrainConfig:
         return siamese.TrainConfig(epochs=self.siam_epochs, n_pairs=self.siam_pairs,
@@ -98,6 +103,15 @@ class TrainFlags:
     def siamese_out_dim(self, dim: int) -> int:
         """The twin network's embedding dim for `dim`-wide input."""
         return self.siam_out_dim or dim // 2
+
+
+def _check_flag(flag: str, check, *args, **kwargs) -> None:
+    """Run a library check of one flag's value; its ValidationError is prefixed
+    with the flag, since the library names its own field."""
+    try:
+        check(*args, **kwargs)
+    except ValidationError as err:
+        raise ValidationError("%s: %s" % (flag, err)) from None
 
 
 def flag_types() -> dict:

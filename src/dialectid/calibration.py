@@ -165,26 +165,34 @@ def fuse(tables: Sequence[ScoreTable], weights: FusionWeights) -> ScoreTable:
                       scores=_combine(stack, [by_id[s] for s in ids]), calibrated=True)
 
 
-def fit_fusion_weights(
-    tables: Sequence[ScoreTable], truth: Mapping[str, str], resolution: float = DEFAULT_RESOLUTION
-) -> FusionWeights:
-    """Grid-search the weight simplex (default 0.1 steps) for best fused accuracy.
-
-    A grid above MAX_GRID_POINTS, C(steps + S - 1, S - 1) for S tables, is
-    refused. Ties resolve to the lexicographically first weight tuple in
-    system-id order, so the search is deterministic.
-    """
-    if not tables:
-        raise ValidationError("need at least one table")
+def check_grid(resolution: float, n_systems: int = 1) -> int:
+    """The steps of a fusion grid at `resolution` over `n_systems` systems. A step
+    that is not positive or does not divide 1 evenly, or a grid above
+    MAX_GRID_POINTS, C(steps + S - 1, S - 1) for S systems, is a ValidationError."""
     if not (resolution > 0 and 1.0 / resolution < inf):
         raise ValidationError("resolution must be positive, got %r" % (resolution,))
     steps = int(round(1.0 / resolution))
     if abs(steps * resolution - 1.0) > 1e-9 or steps < 1:
         raise ValidationError("resolution must divide 1 evenly")
-    ids, utt_ids, labels, stack = _aligned(tables)
-    points = comb(steps + len(ids) - 1, len(ids) - 1)
+    points = comb(steps + n_systems - 1, n_systems - 1)
     if points > MAX_GRID_POINTS:
         raise ValidationError("fusion grid of %d points is above %d" % (points, MAX_GRID_POINTS))
+    return steps
+
+
+def fit_fusion_weights(
+    tables: Sequence[ScoreTable], truth: Mapping[str, str], resolution: float = DEFAULT_RESOLUTION
+) -> FusionWeights:
+    """Grid-search the weight simplex (default 0.1 steps) for best fused accuracy.
+
+    `check_grid` checks the grid before the tables are aligned. Ties resolve
+    to the lexicographically first weight tuple in system-id order, so the
+    search is deterministic.
+    """
+    if not tables:
+        raise ValidationError("need at least one table")
+    steps = check_grid(resolution, len(tables))
+    ids, utt_ids, labels, stack = _aligned(tables)
     # each row's true label column; -1 (never predicted) when unlabeled or unknown
     column = {label: k for k, label in enumerate(labels)}
     truth_col = np.array([column.get(truth.get(u), -1) for u in utt_ids], dtype=np.int64)

@@ -97,7 +97,11 @@ def cmd_calibrate_fuse(args) -> int:
         raise ValidationError("give exactly one of --weights and --fit-weights")
     if args.resolution is not None and not args.fit_weights:
         raise ValidationError("--resolution applies only to --fit-weights")
-    if args.weights is not None:
+    resolution = (calibration.DEFAULT_RESOLUTION if args.resolution is None
+                  else args.resolution)
+    if args.fit_weights:
+        calibration.check_grid(resolution, len(args.scores))
+    else:
         try:
             values = [float(x) for x in args.weights.split(",")]
         except ValueError:
@@ -114,8 +118,7 @@ def cmd_calibrate_fuse(args) -> int:
     calibrated = [calibration.apply_calibration(p, t) for p, t in zip(fits, tables)]
 
     if args.fit_weights:
-        weights = calibration.fit_fusion_weights(calibrated, truth, resolution=(
-            calibration.DEFAULT_RESOLUTION if args.resolution is None else args.resolution))
+        weights = calibration.fit_fusion_weights(calibrated, truth, resolution)
     else:
         if len(values) != len(tables):
             raise ValidationError("got %d weights for %d score files"

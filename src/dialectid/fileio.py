@@ -13,11 +13,14 @@ once, by the reader that parses it: in a vector set, a score table and a
 labels file an id on two rows is a ValidationError ``path:line: duplicate
 utterance id``, and in a vector set or a score table a value that parses
 to inf or nan is a ValidationError ``path:line: non-finite value``. A
-score table's numbers are parsed in one call after its row checks, so its
-unparseable or non-finite score is reported after any row with a wrong
-field count or a repeated id. A vector set read as labels has its header,
-field count, ids and labels checked, but its values are neither counted
-nor parsed.
+vector set's values are parsed in one `np.loadtxt` call, which gives each
+the exact result of `float()`; when that call fails or finds a fault, the
+set is reread row by row, so its first faulty row is still the one
+reported. A score table's numbers are parsed in one call after its row
+checks, so its unparseable or non-finite score is reported after any row
+with a wrong field count or a repeated id. A vector set read as labels
+has its header, field count, ids and labels checked, but its values are
+neither counted nor parsed.
 
 An artifact is a strict JSON file ``<stem>.json``, one object
 ``{"arrays", "format_version", "kind", "fingerprint", "payload"}``, plus a
@@ -41,13 +44,14 @@ import hashlib
 import json
 import math
 import os
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .data import Domain, IVectorSet, ScoreTable, Utterance
-from .errors import FormatError, ValidationError
+from .errors import DialectIdError, FormatError, ValidationError
 
 ARTIFACT_VERSION = 4
 UNLABELED = "-"
@@ -209,8 +213,41 @@ def _vector_rows(path, text: str, values: bool):
 
 
 def load_ivector_set(path, domain: Domain = Domain.TST) -> IVectorSet:
-    """Read a vector set file; the split is implied by the file, not stored in it."""
-    dim, entries = _vector_rows(path, _read_text(path), values=True)
+    """Read a vector set file; the split is implied by the file, not stored in it.
+
+    All values are parsed in one `np.loadtxt` call, which converts each as
+    `float()` does. Its result is kept only when every row has `dim` values,
+    every id is unique and every value is finite; otherwise the rows are read
+    one by one, which reports the first faulty row and reads the spellings
+    only `float()` accepts (``1_0``, non-ASCII digits).
+    """
+    text = _read_text(path)
+    dim, entries = _vector_rows(path, text, values=True)
+    utts = []
+
+    def values():
+        for _, (utt_id, label, row) in _unique_ids(path, entries):
+            utts.append(Utterance(id=utt_id, domain=domain,
+                                  label=None if label == UNLABELED else label))
+            yield row
+
+    rows = values()
+    try:
+        first = next(rows, "")
+        # no rows or a blank first row: loadtxt would warn that it read no data, or
+        # skip the row, where the row-by-row read returns (0, dim) or names the row
+        matrix = (np.loadtxt(chain((first,), rows), np.float64, comments=None, ndmin=2)
+                  if first.strip() else None)
+    except (ValueError, DialectIdError):
+        matrix = None
+    if matrix is not None and matrix.shape == (len(utts), dim) and np.isfinite(matrix).all():
+        return IVectorSet(tuple(utts), matrix)
+    return _load_row_by_row(path, text, domain)
+
+
+def _load_row_by_row(path, text: str, domain: Domain) -> IVectorSet:
+    """`load_ivector_set` one row at a time, so the first faulty row is the one reported."""
+    dim, entries = _vector_rows(path, text, values=True)
     utts, lns, rows = [], [], []
     for ln, (utt_id, label, values) in _unique_ids(path, entries):
         tokens = values.split()

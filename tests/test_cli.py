@@ -530,6 +530,22 @@ class TestFusionFlags:
         assert line.startswith("validation error:") and "1000001" in line
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize("scores, resolution, message", [
+        (1, "0", "resolution must be positive, got 0.0"),
+        (1, "0.3", "resolution must divide 1 evenly"),
+        (2, "1e-6", "fusion grid of 1000001 points is above 100000"),
+    ], ids=["zero", "uneven", "grid-above-cap"])
+    def test_grid_is_checked_before_a_file_is_read(self, tmp_path, capsys, scores, resolution,
+                                                   message):
+        # none of the files exist: a read would exit 4
+        capsys.readouterr()
+        assert run("calibrate-fuse", "--scores", *[tmp_path / ("nope%d.scores" % i)
+                                                   for i in range(scores)],
+                   "--labels", tmp_path / "nope.ivec", "--out-dir", tmp_path / "f",
+                   "--fit-weights", "--resolution", resolution) == 2
+        assert only_stderr_line(capsys) == "validation error: " + message
+        assert not (tmp_path / "f").exists()
+
 
 SIAM_TRAIN = ("train", "--recipe", "siam_cds", "--siam-epochs", 1, "--siam-pairs", 20)
 SVM_TRAIN = ("train", "--recipe", "baseline_svm")
@@ -589,15 +605,20 @@ class TestOutOfRangeFlagValues:
         assert only_stderr_line(capsys).startswith("validation error:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--siam-epochs", -1, "epochs must be at least 0, got -1"),
-        ("--siam-pairs", 0, "n_pairs must be at least 1, got 0"),
-    ], ids=["siam-epochs", "siam-pairs"])
-    def test_twin_network_count_names_its_field_and_bound(self, tiny_data, tmp_path, capsys,
-                                                           flag, value, message):
+    @pytest.mark.parametrize("flags, message", [
+        (("--svm-c", "-1"), "--svm-c: C must be finite and positive (C=-1.0, rows=1)"),
+        (("--svm-epochs", 0), "--svm-epochs: epochs must be >= 1"),
+        (("--siam-epochs", -1), "--siam-epochs: epochs must be at least 0, got -1"),
+        (("--siam-pairs", 0), "--siam-pairs: n_pairs must be at least 1, got 0"),
+        (("--use-dev", "--dev-emphasis", "-1"), "--dev-emphasis: dev_emphasis must be "
+         "nonnegative and keep (1 + dev_emphasis) x rows finite; got -1.0, rows=1"),
+    ], ids=["svm-c", "svm-epochs", "siam-epochs", "siam-pairs", "dev-emphasis"])
+    def test_passed_through_error_names_its_flag(self, tiny_data, tmp_path, capsys, flags,
+                                                 message):
+        # the library's message names its own field; the flag goes in front of it
         out = tmp_path / "out"
         capsys.readouterr()
-        assert run("train", "--recipe", "siam_cds", flag, value, "--data-dir", tiny_data,
+        assert run("train", "--recipe", "siam_cds", *flags, "--data-dir", tiny_data,
                    "--model-dir", out) == 2
         assert only_stderr_line(capsys) == "validation error: " + message
         assert not out.exists()

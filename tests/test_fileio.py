@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -457,18 +458,24 @@ def loaded_vector_set(path):
     return [(u.id, u.label) for u in dataset.utterances], dataset.vectors.tobytes()
 
 
-# few ids, so that rows repeat them; tokens that stay finite however a break splits them
+# few ids, so that rows repeat them; tokens that stay finite however a break splits
+# them, and two that numpy refuses but float() reads
 ROW_IDS = st.sampled_from(["u1", "u2", "u3", " u4", "u 5"])
 ROW_LABELS = st.sampled_from(["A", "B", "-", " "])
-ROW_TOKENS = st.sampled_from(["0.5", "-1.25", "3e2", "7"])
+ROW_TOKENS = st.sampled_from(["0.5", "-1.25", "3e2", "7"] * 3 + ["1_0", "\u0661\u0662.\u0665"])
+# whitespace that str.split splits at, "\x1f" among it
+VALUE_SEPARATORS = [" ", " ", "  ", "\x1f", "\xa0", "\u3000"]
 
 
 @st.composite
 def vector_set_line(draw, dim):
-    kind = draw(st.sampled_from(["row", "row", "row", "blank", "fields", "blank-id", "break"]))
+    kind = draw(st.sampled_from(["row", "row", "row", "blank", "fields", "blank-id", "break",
+                                 "short"]))
     if kind == "blank":
         return draw(st.sampled_from(["", " ", "\t", "\t\t", " \t \t ", "\t\t\t"]))
-    values = " ".join(draw(st.lists(ROW_TOKENS, min_size=dim, max_size=dim)))
+    n = draw(st.integers(0, dim - 1)) if kind == "short" else dim
+    values = draw(st.sampled_from(VALUE_SEPARATORS)).join(
+        draw(st.lists(ROW_TOKENS, min_size=n, max_size=n)))
     fields = [draw(ROW_IDS), draw(ROW_LABELS), values]
     if kind == "fields":  # two or four fields
         fields = [fields[0], values] if draw(st.booleans()) else fields + [values]
@@ -495,13 +502,24 @@ class TestVectorRowScan:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "x.ivec"
             path.write_bytes(text.encode("utf-8"))
-            if head.startswith("dim="):  # otherwise load_labels reads two-column labels
-                assert outcome(load_labels, path) == outcome(oracle_labels, path)
-            assert outcome(loaded_vector_set, path) == outcome(oracle_vector_set, path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a zero-row set loads without a warning
+                if head.startswith("dim="):  # otherwise load_labels reads two-column labels
+                    assert outcome(load_labels, path) == outcome(oracle_labels, path)
+                assert outcome(loaded_vector_set, path) == outcome(oracle_vector_set, path)
+
+    def test_first_faulty_row_wins_over_a_later_repeated_id(self, tmp_path):
+        # values are parsed in one call before the rows are checked one by one
+        path = tmp_path / "x.ivec"
+        path.write_text("dim=2\nu1\tA\t1 2\nu2\tA\t3\nu3\tB\t4 5\nu1\tB\t6 7\n")
+        with pytest.raises(FormatError, match=r"^%s:3: expected 2 values, got 1$"
+                           % re.escape(str(path))):
+            load_ivector_set(path)
 
 
 # spellings float() accepts that repr never writes: signs, digit separators, an
 # upper-case exponent, bare points, an underflowing exponent and Arabic-Indic digits
+# (numpy refuses the separators and the digits, so their rows are read one by one)
 SPELLINGS = ["+1.5", "1_0", "1E3", "-0", "+0.0", ".5", "5.", "1e-400", "1.7e308", "-1.7e308",
              "\u0661\u0662.\u0665"]
 NON_FINITE = ["inf", "-Infinity", "INF", "+inf", "1e400", "nan", "-NaN"]
@@ -509,12 +527,13 @@ REFUSED = ["1,5", "0x10", "1e", "--1", "1_", "_1", "1__0", "1.5.2", "e3", "infin
 FINITE_TOKEN = st.one_of(FLOATS.map(repr), st.sampled_from(SPELLINGS))
 
 
-def write_value_files(tmp, rows):
-    """A vector set and a score table over the same token rows; row i is on line i + 2."""
+def write_value_files(tmp, rows, sep=" "):
+    """A vector set, its values joined by `sep`, and a score table over the same
+    token rows; row i is on line i + 2."""
     width = len(rows[0])
     ivec, scores = Path(tmp) / "x.ivec", Path(tmp) / "x.scores"
     ivec.write_text("dim=%d\n" % width + "".join(
-        "u%d\tA\t%s\n" % (i, " ".join(row)) for i, row in enumerate(rows)), encoding="utf-8")
+        "u%d\tA\t%s\n" % (i, sep.join(row)) for i, row in enumerate(rows)), encoding="utf-8")
     scores.write_text("sys\t%s\n" % "\t".join("c%d" % j for j in range(width)) + "".join(
         "u%d\t%s\n" % (i, "\t".join(row)) for i, row in enumerate(rows)), encoding="utf-8")
     return ivec, scores
@@ -534,7 +553,8 @@ class TestValueCodec:
         rows = draw_token_rows(data, FINITE_TOKEN)
         expected = np.array([[float(t) for t in row] for row in rows])
         with tempfile.TemporaryDirectory() as tmp:
-            ivec, scores = write_value_files(tmp, rows)
+            ivec, scores = write_value_files(tmp, rows, data.draw(st.sampled_from(
+                VALUE_SEPARATORS)))
             assert_bitwise_equal(load_ivector_set(ivec).vectors, expected)
             assert_bitwise_equal(load_score_table(scores).scores, expected)
 
