@@ -54,8 +54,9 @@ class TrainFlags:
     svm_c: float = _flag("SVM cost, finite and positive", svm.DEFAULT_C)
     svm_epochs: int = _flag("epochs x rows must be 1..%d" % svm.MAX_STEPS, svm.DEFAULT_EPOCHS)
     siam_out_dim: Optional[int] = _flag("embedding dim in 1..dim, dim // 2 when omitted", None)
-    siam_epochs: int = _flag("twin-network epochs, at least 0", 15)
-    siam_pairs: int = _flag("1..%d, as must be epochs x pairs" % siamese.MAX_PAIR_STEPS, 3000)
+    siam_epochs: int = _flag("twin-network epochs, at least 0", siamese.DEFAULT_EPOCHS)
+    siam_pairs: int = _flag("1..%d, as must be epochs x pairs" % siamese.MAX_PAIR_STEPS,
+                            siamese.DEFAULT_PAIRS)
     dev_emphasis: float = _flag("extra pair-sampling weight of DEV rows, at least 0", 0.0)
 
     def __post_init__(self):

@@ -37,8 +37,8 @@ def _synth_config_from_file(path) -> SynthConfig:
 
 
 def _parsed_as(kind):
-    """An argparse type: a value `kind` cannot parse stays a str, which `TrainFlags`
-    refuses in one line, where argparse would print its usage."""
+    """An argparse type: a value `kind` cannot parse stays a str, which `TrainFlags` or
+    `_checked_number` refuses in one line, where argparse would print its usage."""
     def parse(text):
         try:
             return kind(text)
@@ -47,8 +47,18 @@ def _parsed_as(kind):
     return parse
 
 
+def _checked_number(flag: str, value, kind):
+    """The value of a `_parsed_as(kind)` option; one left a str is refused, naming `flag`."""
+    if isinstance(value, str):
+        raise ValidationError("%s must be %s, got %r" % (flag, kind.__name__, value))
+    return value
+
+
 def cmd_synth(args) -> int:
-    cfg = _synth_config_from_file(args.config) if args.config else SynthConfig(seed=args.seed)
+    if args.config and args.seed is not None:
+        raise ValidationError("--seed applies only without --config, whose seed key sets it")
+    seed = 0 if args.seed is None else _checked_number("--seed", args.seed, int)
+    cfg = _synth_config_from_file(args.config) if args.config else SynthConfig(seed=seed)
     data = generate(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -98,7 +108,7 @@ def cmd_calibrate_fuse(args) -> int:
     if args.resolution is not None and not args.fit_weights:
         raise ValidationError("--resolution applies only to --fit-weights")
     resolution = (calibration.DEFAULT_RESOLUTION if args.resolution is None
-                  else args.resolution)
+                  else _checked_number("--resolution", args.resolution, float))
     if args.fit_weights:
         calibration.check_grid(resolution, len(args.scores))
     else:
@@ -166,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic mismatch dataset")
     p.add_argument("--config", help="key=value config file (defaults used when omitted)")
-    p.add_argument("--seed", type=int, default=0, help="seed when no config file is given")
+    p.add_argument("--seed", type=_parsed_as(int), default=None,
+                   help="seed when no config file is given, 0 when omitted")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -195,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None, help="comma-separated, aligned with --scores")
     p.add_argument("--fit-weights", action="store_true",
                    help="grid-search the weight simplex instead of --weights")
-    p.add_argument("--resolution", type=float, default=None,
+    p.add_argument("--resolution", type=_parsed_as(float), default=None,
                    help="weight grid step of --fit-weights, %g when omitted; the grid may "
                    "have at most %d points"
                    % (calibration.DEFAULT_RESOLUTION, calibration.MAX_GRID_POINTS))

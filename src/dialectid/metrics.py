@@ -61,43 +61,43 @@ def confusion(truth: Mapping[str, str], pred: Mapping[str, str],
     return ConfusionMatrix(labels=labels, counts=counts)
 
 
-def evaluate(cm: ConfusionMatrix) -> MetricsReport:
-    """Overall accuracy plus macro precision/recall, in percent."""
+def _evaluate(cm: ConfusionMatrix):
+    """(the MetricsReport, n_true, n_pred, precision %, recall %), the last four per
+    class in label order."""
     if cm.total == 0:
         raise ValidationError("cannot evaluate an empty confusion matrix")
-    counts = cm.counts.astype(np.float64)
-    diag = np.diag(counts)
-    rows = counts.sum(axis=1)
-    cols = counts.sum(axis=0)
+    diag = np.diag(cm.counts)
+    rows = cm.counts.sum(axis=1)
+    cols = cm.counts.sum(axis=0)
+    # a class never predicted (or never true) has a 0 diagonal, so 0 precision (recall)
+    precision = 100.0 * diag / np.maximum(cols, 1)
+    recall = 100.0 * diag / np.maximum(rows, 1)
     present = rows > 0
-    precision = np.where(cols > 0, diag / np.where(cols > 0, cols, 1.0), 0.0)
-    recall = np.where(present, diag / np.where(present, rows, 1.0), 0.0)
-    return MetricsReport(
-        accuracy=100.0 * float(diag.sum() / counts.sum()),
-        macro_precision=100.0 * float(precision[present].mean()),
-        macro_recall=100.0 * float(recall[present].mean()),
+    report = MetricsReport(
+        accuracy=100.0 * float(diag.sum() / cm.total),
+        macro_precision=float(precision[present].mean()),
+        macro_recall=float(recall[present].mean()),
     )
+    return report, rows, cols, precision, recall
+
+
+def evaluate(cm: ConfusionMatrix) -> MetricsReport:
+    """Overall accuracy plus macro precision/recall, in percent."""
+    return _evaluate(cm)[0]
 
 
 def render_report(cm: ConfusionMatrix, system_id: str = "") -> str:
     """Aligned plain-text report followed by machine-readable key=value lines."""
-    rep = evaluate(cm)
+    rep, rows, cols, precision, recall = _evaluate(cm)
     lines = []
     if system_id:
         lines.append("system: %s" % system_id)
     lines.append("utterances: %d" % cm.total)
-    counts = cm.counts
-    diag = np.diag(counts)
-    rows = counts.sum(axis=1)
-    cols = counts.sum(axis=0)
     width = max(5, max(len(lab) for lab in cm.labels))
     lines.append("%-*s %10s %10s %8s %8s"
                  % (width, "label", "prec(%)", "recall(%)", "n_true", "n_pred"))
-    for i, lab in enumerate(cm.labels):
-        prec = 100.0 * diag[i] / cols[i] if cols[i] else 0.0
-        rec = 100.0 * diag[i] / rows[i] if rows[i] else 0.0
-        lines.append("%-*s %10.2f %10.2f %8d %8d"
-                     % (width, lab, prec, rec, rows[i], cols[i]))
+    for row in zip(cm.labels, precision, recall, rows, cols):
+        lines.append("%-*s %10.2f %10.2f %8d %8d" % (width, *row))
     lines.append("")
     lines.append("accuracy=%.6f" % rep.accuracy)
     lines.append("macro_precision=%.6f" % rep.macro_precision)

@@ -28,8 +28,15 @@ MAX_PAIR_STEPS = 10**7
 KERNEL = 8
 STRIDE = 2
 CHANNELS = (1, 4, 8)
-# the stack's least input dim: 8 + 2 x (8 - 1), so its second conv has one output
-DEFAULT_MIN_DIM = 22
+# the stack's least input dim (22), at which its second conv has one output
+DEFAULT_MIN_DIM = KERNEL + STRIDE * (KERNEL - 1)
+# the SGD recipe of `train`: pairs per mini-batch, step size and velocity decay
+BATCH_SIZE = 64
+LEARNING_RATE = 0.01
+MOMENTUM = 0.9
+# `TrainConfig`'s budget, which `backend.TrainFlags` takes as its defaults
+DEFAULT_EPOCHS = 15
+DEFAULT_PAIRS = 3000
 # rows per `forward_batch` block, so that its working memory does not grow with n
 FORWARD_ROWS = 256
 
@@ -266,25 +273,16 @@ def sample_pairs(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 20
-    batch_size: int = 64
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    n_pairs: int = 2000
-    positive_fraction: float = 0.5
+    epochs: int = DEFAULT_EPOCHS
+    n_pairs: int = DEFAULT_PAIRS
     dev_emphasis: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("epochs", 0), ("batch_size", 1), ("n_pairs", 1)):
+        for name, least in (("epochs", 0), ("n_pairs", 1)):
             if getattr(self, name) < least:
                 raise ValidationError("%s must be at least %d, got %r"
                                       % (name, least, getattr(self, name)))
-        if not 0.0 <= self.learning_rate < np.inf:
-            raise ValidationError("learning_rate must be finite and nonnegative, got %r"
-                                  % (self.learning_rate,))
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError("momentum must be in [0, 1), got %r" % (self.momentum,))
         _check_dev_emphasis(self.dev_emphasis)
         if max(self.n_pairs, self.epochs * self.n_pairs) > MAX_PAIR_STEPS:
             raise ValidationError("n_pairs %d and epochs x n_pairs = %d x %d must each be at "
@@ -293,7 +291,8 @@ class TrainConfig:
 
 
 def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
-    """Mini-batch SGD with momentum on sampled pairs.
+    """Mini-batch SGD with a heavy-ball velocity (BATCH_SIZE, LEARNING_RATE, MOMENTUM)
+    on pairs drawn half positive.
 
     Deterministic given config.seed (pair sampling and epoch shuffles both
     derive from it). Returns (trained params, per-epoch mean loss history).
@@ -301,13 +300,8 @@ def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
     after every step, the last one too), aborts with the partial history
     attached to the raised NumericError.
     """
-    ia, ib, y = sample_pairs(
-        data,
-        n_pairs=config.n_pairs,
-        positive_fraction=config.positive_fraction,
-        seed=config.seed,
-        dev_emphasis=config.dev_emphasis,
-    )
+    ia, ib, y = sample_pairs(data, config.n_pairs, seed=config.seed,
+                             dev_emphasis=config.dev_emphasis)
     rng = np.random.default_rng(config.seed + 1)
     n_layers = len(params.weights)
     arrays = [a.copy() for a in params.weights + params.biases]  # weights, then biases
@@ -318,8 +312,8 @@ def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
         order = rng.permutation(len(y))
         total = 0.0
         counted = 0
-        for lo in range(0, len(y), config.batch_size):
-            batch = order[lo:lo + config.batch_size]
+        for lo in range(0, len(y), BATCH_SIZE):
+            batch = order[lo:lo + BATCH_SIZE]
             try:
                 gw, gb, loss = grad(current, data.vectors[ia[batch]], data.vectors[ib[batch]],
                                     y[batch])
@@ -328,8 +322,8 @@ def train(params: SiameseParams, data: IVectorSet, config: TrainConfig):
             total += loss * len(batch)
             counted += len(batch)
             for a, v, g in zip(arrays, velocity, gw + gb):
-                v *= config.momentum
-                v -= config.learning_rate * g
+                v *= MOMENTUM
+                v -= LEARNING_RATE * g
                 a += v
             try:  # the params refuse a step that overflowed, which is divergence too
                 current = params.replace_arrays(arrays[:n_layers], arrays[n_layers:])

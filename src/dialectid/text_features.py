@@ -71,19 +71,18 @@ def _is_char_token(token: str) -> bool:
     return len(token) == 1 or token in (UNK_TOKEN, BOUNDARY_TOKEN)
 
 
-def normalize_for_chars(
-    transcript: Transcript, oov_marker: str = DEFAULT_OOV_MARKER
-) -> list[str]:
+def normalize_for_chars(transcript: Transcript) -> list[str]:
     """Turn a word transcript into a character token sequence.
 
-    OOV markers collapse to <unk>, every other word splits into single
-    characters, and <sp> separates adjacent words. Sequences that already
-    consist solely of single-character/special tokens pass through
-    unchanged, so repeated application is a no-op.
+    The recognizer's OOV marker (DEFAULT_OOV_MARKER) collapses to <unk>,
+    every other word splits into single characters, and <sp> separates
+    adjacent words. Sequences that already consist solely of
+    single-character/special tokens pass through unchanged, so repeated
+    application is a no-op.
     """
     if transcript.source != "word":
         raise ValidationError("character normalization expects a word transcript")
-    tokens = [UNK_TOKEN if t == oov_marker else t for t in transcript.tokens]
+    tokens = [UNK_TOKEN if t == DEFAULT_OOV_MARKER else t for t in transcript.tokens]
     if all(_is_char_token(t) for t in tokens):
         return tokens
     pieces = []
@@ -108,29 +107,19 @@ def count_ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tokens[i:i + n] for i in range(len(tokens) - n + 1))
 
 
-def build_vocab(
-    corpus: Iterable, n: int, min_count: int = 1, mode: str = "word"
-) -> NgramVocab:
-    """Collect n-grams with corpus count >= min_count, indexed lexicographically.
+def build_vocab(corpus: Iterable, n: int, mode: str = "word") -> NgramVocab:
+    """Collect every n-gram of the corpus, indexed lexicographically.
 
     `corpus` holds token sequences (or Transcript objects). Build it from
     training (optionally training+development) text only; test text must
     never leak in.
     """
-    if min_count < 1:
-        raise ValidationError("min_count must be >= 1")
-    totals: Counter = Counter()
-    seen_any = False
+    grams: set = set()
     for doc in corpus:
-        seen_any = True
-        tokens = doc.tokens if isinstance(doc, Transcript) else doc
-        totals.update(count_ngrams(tokens, n))
-    if not seen_any:
-        raise ValidationError("cannot build a vocabulary from an empty corpus")
-    kept = sorted(g for g, c in totals.items() if c >= min_count)
-    if not kept:
-        raise ValidationError("vocabulary empty after pruning at min_count=%d" % min_count)
-    return NgramVocab(n=n, mode=mode, index={g: i for i, g in enumerate(kept)})
+        grams.update(count_ngrams(doc.tokens if isinstance(doc, Transcript) else doc, n))
+    if not grams:
+        raise ValidationError("the corpus has no %d-gram to build a vocabulary from" % n)
+    return NgramVocab(n=n, mode=mode, index={g: i for i, g in enumerate(sorted(grams))})
 
 
 def phone_duration_stats(seq: PhoneSequence, inventory: Sequence[str]) -> np.ndarray:

@@ -97,6 +97,28 @@ class TestSynthCommand:
         marker.write_text("x")
         assert run("synth", "--out-dir", marker / "sub") == 4
 
+    def test_no_seed_flag_is_seed_0(self, tmp_path):
+        assert run("synth", "--out-dir", tmp_path / "a") == 0
+        assert run("synth", "--out-dir", tmp_path / "b", "--seed", 0) == 0
+        for name in ("trn.ivec", "ground_truth.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--config", "synth.cfg", "--seed", 9),
+         "--seed applies only without --config, whose seed key sets it"),
+        (("--config", "synth.cfg", "--seed", 3),
+         "--seed applies only without --config, whose seed key sets it"),
+        (("--seed", "2.5"), "--seed must be int, got '2.5'"),
+    ], ids=["config-and-other-seed", "config-and-same-seed", "seed-not-an-int"])
+    def test_bad_seed_exits_2_before_a_file_is_written(self, tmp_path, monkeypatch, capsys,
+                                                       flags, message):
+        monkeypatch.chdir(tmp_path)
+        Path("synth.cfg").write_text("dim=8\nseed=3\n")
+        capsys.readouterr()
+        assert run("synth", *flags, "--out-dir", "out") == 2
+        assert only_stderr_line(capsys) == "validation error: " + message
+        assert not Path("out").exists()
+
 
 class TestTrainCommand:
     def test_gamma_without_use_dev_rejected(self, data_dir, tmp_path):
@@ -498,6 +520,7 @@ class TestFusionFlags:
     @pytest.mark.parametrize("flags", [
         ("--weights", "abc"),
         ("--weights", "0.5,x"),
+        ("--fit-weights", "--resolution", "abc"),
         ("--fit-weights", "--resolution", "0"),
         ("--fit-weights", "--resolution", "-0.5"),
         ("--fit-weights", "--resolution", "1e-320"),
@@ -534,7 +557,8 @@ class TestFusionFlags:
         (1, "0", "resolution must be positive, got 0.0"),
         (1, "0.3", "resolution must divide 1 evenly"),
         (2, "1e-6", "fusion grid of 1000001 points is above 100000"),
-    ], ids=["zero", "uneven", "grid-above-cap"])
+        (1, "abc", "--resolution must be float, got 'abc'"),
+    ], ids=["zero", "uneven", "grid-above-cap", "unparseable"])
     def test_grid_is_checked_before_a_file_is_read(self, tmp_path, capsys, scores, resolution,
                                                    message):
         # none of the files exist: a read would exit 4
@@ -568,6 +592,7 @@ class TestOutOfRangeFlagValues:
         SIAM_TRAIN + ("--use-dev", "--dev-emphasis", "nan"),
         SIAM_TRAIN + ("--use-dev", "--dev-emphasis", "inf"),
         ("synth", "--seed", -1),
+        ("synth", "--seed", "abc"),
         ("synth", "--config", "negative-seed.cfg"),
         SVM_TRAIN + ("--svm-c", "inf"),
         SVM_TRAIN + ("--svm-c", "nan"),
@@ -585,7 +610,8 @@ class TestOutOfRangeFlagValues:
         ("synth", "--config", "huge-dialect-std.cfg"),
         ("synth", "--config", "huge-dim.cfg"),
     ], ids=["siam-out-dim-negative", "siam-out-dim-zero", "dev-emphasis-nan",
-            "dev-emphasis-inf", "synth-seed-flag", "synth-seed-config", "svm-c-inf",
+            "dev-emphasis-inf", "synth-seed-flag", "synth-seed-unparseable",
+            "synth-seed-config", "svm-c-inf",
             "svm-c-nan", "svm-epochs-huge", "svm-seed-negative", "siam-seed-negative",
             "cds-seed-negative", "dev-emphasis-overflows", "siam-pairs-huge",
             "siam-epochs-times-pairs-over-cap", "siam-pairs-over-cap-zero-epochs",

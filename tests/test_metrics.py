@@ -101,3 +101,24 @@ class TestRenderReport:
             line.split("=") for line in text.strip().splitlines() if "=" in line
         )
         assert float(kv["macro_recall"]) == 100.0
+
+    def test_multi_class_report_is_pinned_byte_for_byte(self):
+        # EGY's precision is 100 x 23 / 160 = 14.375 exactly, which prints as 14.38;
+        # 100 x (23 / 160) would round below it and print 14.37. MSA is never
+        # predicted and NOR never true, so NOR stays out of the macro averages.
+        counts = np.array([[23, 10, 5, 0, 2], [100, 40, 7, 0, 0], [37, 0, 0, 0, 1],
+                           [0, 3, 0, 0, 0], [0, 0, 0, 0, 0]])
+        cm = ConfusionMatrix(("EGY", "GLF", "LAV", "MSA", "NOR"), counts)
+        assert render_report(cm, system_id="demo") == (
+            "system: demo\n"
+            "utterances: 228\n"
+            "label    prec(%)  recall(%)   n_true   n_pred\n"
+            "EGY        14.38      57.50       40      160\n"
+            "GLF        75.47      27.21      147       53\n"
+            "LAV         0.00       0.00       38       12\n"
+            "MSA         0.00       0.00        3        0\n"
+            "NOR         0.00       0.00        0        3\n"
+            "\n"
+            "accuracy=27.631579\n"
+            "macro_precision=22.461675\n"
+            "macro_recall=21.177721\n")

@@ -33,3 +33,17 @@ def test_full_adapted_run_exits_0(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(command[1:]) == 0, command
     assert (tmp_path / "fused" / "report.txt").is_file()
+
+
+def test_quoted_minimum_dim_error_is_the_cli_line(tmp_path):
+    # the README quotes the line `train` prints for a set below the stack's least dim
+    quote = re.search(r"a\s+smaller set exits 2 with\s+`([^`]*)`",
+                      README.read_text(encoding="utf-8")).group(1)
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("dim=21\nn_trn=4\nn_dev=2\nn_tst=2\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path / "data")]) == 0
+        assert main(["train", "--recipe", "siam_cds", "--data-dir", str(tmp_path / "data"),
+                     "--model-dir", str(tmp_path / "model")]) == 2
+    assert err.getvalue() == quote + "\n"

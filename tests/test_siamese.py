@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 from dialectid.data import Domain, IVectorSet, Utterance
 from dialectid.errors import NumericError, ValidationError
+from dialectid import siamese
 from dialectid.siamese import (
+    BATCH_SIZE,
     FORWARD_ROWS,
+    LEARNING_RATE,
+    MOMENTUM,
     TrainConfig,
     _forward_batch,
     forward_batch,
@@ -400,10 +404,11 @@ class TestSamplePairs:
 
 
 class TestTrain:
-    def test_zero_learning_rate_keeps_params(self):
+    def test_zero_learning_rate_keeps_params(self, monkeypatch):
+        monkeypatch.setattr(siamese, "LEARNING_RATE", 0.0)
         ds = generate(SynthConfig(dim=24, seed=0, n_trn=6, n_dev=2, n_tst=2))
         p = init_params(24, 4, seed=0)
-        out, hist = train(p, ds.trn, TrainConfig(epochs=2, n_pairs=40, learning_rate=0.0, seed=0))
+        out, hist = train(p, ds.trn, TrainConfig(epochs=2, n_pairs=40, seed=0))
         for a, b in zip(p.weights, out.weights):
             np.testing.assert_array_equal(a, b)
         assert len(hist) == 2
@@ -411,8 +416,8 @@ class TestTrain:
     def test_single_step_equals_manual_update(self):
         ds = generate(SynthConfig(dim=24, seed=1, n_trn=4, n_dev=2, n_tst=2))
         p = init_params(24, 4, seed=1)
-        cfg = TrainConfig(epochs=1, batch_size=8, n_pairs=8, learning_rate=0.05,
-                          momentum=0.9, seed=4)
+        cfg = TrainConfig(epochs=1, n_pairs=8, seed=4)
+        assert cfg.n_pairs <= BATCH_SIZE  # one batch, so one step from zero velocity
         out, hist = train(p, ds.trn, cfg)
         # reproduce by hand: one batch of all 8 pairs in shuffled order
         ia, ib, y = sample_pairs(ds.trn, 8, positive_fraction=0.5, seed=4, dev_emphasis=0.0)
@@ -421,7 +426,29 @@ class TestTrain:
         gw, gb, loss = grad(p, X[ia[order]], X[ib[order]], y[order])
         assert hist == [pytest.approx(loss)]
         for w, g, got in zip(p.weights, gw, out.weights):
-            np.testing.assert_allclose(got, w - 0.05 * g, atol=1e-15)
+            np.testing.assert_allclose(got, w - LEARNING_RATE * g, atol=1e-15)
+
+    def test_second_step_carries_momentum(self):
+        # two epochs of one batch each: the second step adds MOMENTUM times the first
+        ds = generate(SynthConfig(dim=24, seed=1, n_trn=4, n_dev=2, n_tst=2))
+        p = init_params(24, 4, seed=1)
+        out, hist = train(p, ds.trn, TrainConfig(epochs=2, n_pairs=8, seed=4))
+        ia, ib, y = sample_pairs(ds.trn, 8, seed=4)
+        rng = np.random.default_rng(5)  # seed+1 inside train
+        X = ds.trn.vectors
+        arrays = [a.copy() for a in p.weights + p.biases]
+        velocity = [np.zeros_like(a) for a in arrays]
+        current = p
+        for _ in range(2):
+            order = rng.permutation(8)
+            gw, gb, _ = grad(current, X[ia[order]], X[ib[order]], y[order])
+            for a, v, g in zip(arrays, velocity, gw + gb):
+                v[...] = MOMENTUM * v - LEARNING_RATE * g
+                a += v
+            current = p.replace_arrays(arrays[:3], arrays[3:])
+        assert len(hist) == 2
+        for want, got in zip(current.weights + current.biases, out.weights + out.biases):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_loss_decreases_on_cluster_data(self):
         wins = 0
@@ -432,46 +459,43 @@ class TestTrain:
             wins += hist[-1] < hist[0]
         assert wins == 5
 
-    def test_divergence_aborts_with_history(self):
+    def test_divergence_aborts_with_history(self, monkeypatch):
         # one absurd step sends embedding dot products past float max, so the
         # next batch sees a nan cosine and training must abort with history
+        monkeypatch.setattr(siamese, "LEARNING_RATE", 1e200)
         ds = generate(SynthConfig(dim=24, seed=2, n_trn=6, n_dev=2, n_tst=2))
         p = init_params(24, 4, seed=2)
         with pytest.raises(NumericError) as exc:
-            train(p, ds.trn, TrainConfig(epochs=2, n_pairs=128, learning_rate=1e200, seed=0))
+            train(p, ds.trn, TrainConfig(epochs=2, n_pairs=128, seed=0))
         assert isinstance(exc.value.history, list)
 
-    @pytest.mark.parametrize("field, bad, least", [("epochs", -1, 0), ("batch_size", 0, 1),
-                                                    ("n_pairs", 0, 1)])
+    @pytest.mark.parametrize("field, bad, least", [("epochs", -1, 0), ("n_pairs", 0, 1)])
     def test_counts_name_their_field_and_bound(self, field, bad, least):
         with pytest.raises(ValidationError) as exc:
             TrainConfig(**{field: bad})
         assert str(exc.value) == "%s must be at least %d, got %d" % (field, least, bad)
         TrainConfig(**{field: least})  # the bound itself is allowed
 
-    @pytest.mark.parametrize("lr", [np.nan, np.inf, -1e-3])
-    def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
-        with pytest.raises(ValidationError, match="learning_rate"):
-            TrainConfig(learning_rate=lr)
-
-    def test_overflowing_step_aborts_with_history(self):
+    def test_overflowing_step_aborts_with_history(self, monkeypatch):
         # the largest finite step times a gradient entry above 1 overflows, so
         # the first step makes the parameters themselves non-finite
+        monkeypatch.setattr(siamese, "LEARNING_RATE", np.finfo(np.float64).max)
         ds = generate(SynthConfig(dim=24, seed=1, n_trn=6, n_dev=2, n_tst=2))
         p = init_params(24, 4, seed=1)
-        cfg = TrainConfig(epochs=2, n_pairs=128, learning_rate=np.finfo(np.float64).max, seed=0)
+        cfg = TrainConfig(epochs=2, n_pairs=128, seed=0)
         with np.errstate(over="ignore"), pytest.raises(NumericError,
                                                         match="non-finite parameters") as exc:
             train(p, ds.trn, cfg)
         assert exc.value.history == []
 
-    def test_overflowing_last_step_aborts_with_history(self):
+    def test_overflowing_last_step_aborts_with_history(self, monkeypatch):
         # one batch: the step that overflows is the last one, after which no
         # further batch would see the non-finite parameters
+        monkeypatch.setattr(siamese, "LEARNING_RATE", np.finfo(np.float64).max)
         ds = generate(SynthConfig(dim=24, seed=1, n_trn=6, n_dev=2, n_tst=2))
         p = init_params(24, 4, seed=1)
-        cfg = TrainConfig(epochs=1, n_pairs=64, learning_rate=np.finfo(np.float64).max, seed=0)
-        assert cfg.batch_size >= cfg.n_pairs
+        cfg = TrainConfig(epochs=1, n_pairs=64, seed=0)
+        assert BATCH_SIZE >= cfg.n_pairs
         with np.errstate(over="ignore"), pytest.raises(NumericError,
                                                         match="non-finite parameters") as exc:
             train(p, ds.trn, cfg)

@@ -101,17 +101,11 @@ class TestBuildVocab:
         vocab = build_vocab([["a", "b"], ["b", "c"]], n=1)
         assert set(vocab.index) == {("a",), ("b",), ("c",)}
 
-    def test_min_count_above_max_errors(self):
-        with pytest.raises(ValidationError):
-            build_vocab([["a", "b"]], n=1, min_count=5)
-
     def test_two_document_toy_matches_hand_enumeration(self):
         docs = [["x", "y", "x"], ["y", "x"]]
-        vocab = build_vocab(docs, n=2, min_count=1)
+        vocab = build_vocab(docs, n=2)
         # hand enumeration: xy(1), yx(1+1), plus nothing else
         assert set(vocab.index) == {("x", "y"), ("y", "x")}
-        vocab2 = build_vocab(docs, n=2, min_count=2)
-        assert set(vocab2.index) == {("y", "x")}
 
     def test_lexicographic_dense_indices(self):
         vocab = build_vocab([["c", "a", "b"]], n=1)
@@ -126,6 +120,10 @@ class TestBuildVocab:
     def test_empty_corpus_errors(self):
         with pytest.raises(ValidationError):
             build_vocab([], n=1)
+
+    def test_corpus_shorter_than_n_errors(self):
+        with pytest.raises(ValidationError, match="no 3-gram"):
+            build_vocab([["a", "b"], ["c"]], n=3)
 
 
 class TestVectorize:
